@@ -54,7 +54,7 @@ use dblsh_data::{
     push_candidate_unchecked, AnnIndex, Dataset, DbLshError, Neighbor, QueryStats, SearchResult,
     Sq8Query, Visited,
 };
-use dblsh_index::Rect;
+use dblsh_index::{Rect, WindowScratch};
 use dblsh_telemetry::{QueryTrace, Stage};
 
 use crate::index::DbLsh;
@@ -751,9 +751,14 @@ impl DbLsh {
 pub struct ProberScratch {
     visited: Visited,
     qproj: Vec<f64>,
+    /// Corners, DFS stack and leaf-hit buffer of the window probes.
+    window: WindowScratch,
     block: Vec<u32>,
     dists: Vec<f32>,
     keys: Vec<u64>,
+    /// One round's canonical keys, for the single-prober drivers
+    /// ([`DbLsh::search_canonical`]); a fan-out merges into its own.
+    round_keys: Vec<u64>,
     survivors: Vec<u32>,
     prep: Sq8Query,
 }
@@ -765,9 +770,11 @@ impl ProberScratch {
         ProberScratch {
             visited: Visited::empty(),
             qproj: Vec::new(),
+            window: WindowScratch::new(),
             block: Vec::new(),
             dists: Vec::new(),
             keys: Vec::new(),
+            round_keys: Vec::new(),
             survivors: Vec::new(),
             prep: Sq8Query::empty(),
         }
@@ -801,6 +808,30 @@ impl<'a> LadderProber<'a> {
     /// Number of live points in the probed index.
     pub fn live(&self) -> usize {
         self.index.len()
+    }
+
+    /// The window scans of one round: every id inside `W(G_i(q), w0 r)`
+    /// in each of the `L` trees is counted into `stats.index_probes`,
+    /// and those not yet visited this query are left in `scratch.block`.
+    /// Runs in the scratch's buffers — a warm prober allocates nothing.
+    fn scan_round(&mut self, r: f64, stats: &mut QueryStats) {
+        let kdim = self.index.params.k;
+        let side = self.index.params.w0 * r;
+        let scratch = &mut *self.scratch;
+        scratch.block.clear();
+        for (i, tree) in self.index.trees.iter().enumerate() {
+            let view = self.index.store.view(i);
+            let qp = &scratch.qproj[i * kdim..(i + 1) * kdim];
+            let mut cursor = tree.window_cube_in(&view, qp, side, &mut scratch.window);
+            while let Some(batch) = cursor.next_batch() {
+                stats.index_probes += batch.len();
+                for &id in batch {
+                    if scratch.visited.insert(id) {
+                        scratch.block.push(id);
+                    }
+                }
+            }
+        }
     }
 
     /// Probe one ladder round at radius `r`: scan the window
@@ -837,22 +868,7 @@ impl<'a> LadderProber<'a> {
         to_global: impl Fn(u32) -> u32,
         out: &mut Vec<u64>,
     ) {
-        let kdim = self.index.params.k;
-        self.scratch.block.clear();
-        for (i, tree) in self.index.trees.iter().enumerate() {
-            let view = self.index.store.view(i);
-            let qp = &self.scratch.qproj[i * kdim..(i + 1) * kdim];
-            let window = Rect::centered_cube(qp, self.index.params.w0 * r);
-            let mut cursor = tree.window(&view, &window);
-            while let Some(batch) = cursor.next_batch() {
-                stats.index_probes += batch.len();
-                for &id in batch {
-                    if self.scratch.visited.insert(id) {
-                        self.scratch.block.push(id);
-                    }
-                }
-            }
-        }
+        self.scan_round(r, stats);
         if self.scratch.block.is_empty() {
             return;
         }
@@ -913,23 +929,8 @@ impl<'a> LadderProber<'a> {
         out: &mut Vec<u64>,
         trace: &mut QueryTrace,
     ) {
-        let kdim = self.index.params.k;
         let scan_started = Instant::now();
-        self.scratch.block.clear();
-        for (i, tree) in self.index.trees.iter().enumerate() {
-            let view = self.index.store.view(i);
-            let qp = &self.scratch.qproj[i * kdim..(i + 1) * kdim];
-            let window = Rect::centered_cube(qp, self.index.params.w0 * r);
-            let mut cursor = tree.window(&view, &window);
-            while let Some(batch) = cursor.next_batch() {
-                stats.index_probes += batch.len();
-                for &id in batch {
-                    if self.scratch.visited.insert(id) {
-                        self.scratch.block.push(id);
-                    }
-                }
-            }
-        }
+        self.scan_round(r, stats);
         trace.add(Stage::TreeProbe, scan_started.elapsed().as_nanos() as u64);
         if self.scratch.block.is_empty() {
             return;
@@ -1117,6 +1118,24 @@ impl CanonicalLadder {
     }
 }
 
+thread_local! {
+    /// The canonical entry points' buffers, reused across queries on the
+    /// same thread like the classic path's `SCRATCH` — the two modes must
+    /// not differ by allocation overhead.
+    static CANONICAL_SCRATCH: RefCell<ProberScratch> =
+        const { RefCell::new(ProberScratch::new()) };
+}
+
+/// Run `f` on the thread's canonical-mode scratch.
+fn with_canonical_scratch<T>(f: impl FnOnce(&mut ProberScratch) -> T) -> T {
+    CANONICAL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        // Re-entrancy (a Drop impl querying mid-query) falls back to
+        // fresh buffers rather than panicking.
+        Err(_) => f(&mut ProberScratch::new()),
+    })
+}
+
 impl DbLsh {
     /// Create a [`LadderProber`] for `q` over this index, using (and
     /// resetting) the caller's `scratch` buffers. Fails on a malformed
@@ -1175,21 +1194,9 @@ impl DbLsh {
         k: usize,
         opts: &SearchOptions,
     ) -> Result<SearchResult, DbLshError> {
-        thread_local! {
-            // Reused across queries on the same thread, like the classic
-            // path's SCRATCH — the canonical and classic modes must not
-            // differ by allocation overhead.
-            static CANONICAL_SCRATCH: RefCell<ProberScratch> =
-                const { RefCell::new(ProberScratch::new()) };
-        }
         check_query(self.data.dim(), q, k)?;
         let plan = opts.resolved(self, k)?;
-        let mut res = CANONICAL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => self.canonical_core(q, k, &plan, &mut scratch),
-            // Re-entrancy (a Drop impl querying mid-query) falls back to
-            // fresh buffers rather than panicking.
-            Err(_) => self.canonical_core(q, k, &plan, &mut ProberScratch::new()),
-        })?;
+        let mut res = with_canonical_scratch(|scratch| self.canonical_core(q, k, &plan, scratch))?;
         if opts.skip_stats {
             res.stats = QueryStats::default();
         }
@@ -1206,7 +1213,7 @@ impl DbLsh {
         let mut prober = self.ladder_prober(q, scratch)?;
         let mut ladder = CanonicalLadder::new(plan, self.params.c, k, self.len());
         let mut stats = QueryStats::default();
-        let mut keys: Vec<u64> = Vec::new();
+        let mut keys = std::mem::take(&mut prober.scratch.round_keys);
         while let Some(r) = ladder.begin_round(&mut stats) {
             keys.clear();
             let prune = plan.prefilter.then(|| ladder.prune_threshold());
@@ -1215,6 +1222,7 @@ impl DbLsh {
             prober.probe_round(r, plan.timing, prune, &mut stats, |ext| ext, &mut keys);
             ladder.consume(&keys, &mut stats);
         }
+        prober.scratch.round_keys = keys;
         Ok(ladder.into_result(stats))
     }
 
@@ -1232,15 +1240,10 @@ impl DbLsh {
         opts: &SearchOptions,
         trace: &mut QueryTrace,
     ) -> Result<SearchResult, DbLshError> {
-        thread_local! {
-            static CANONICAL_SCRATCH: RefCell<ProberScratch> =
-                const { RefCell::new(ProberScratch::new()) };
-        }
         check_query(self.data.dim(), q, k)?;
         let plan = opts.resolved(self, k)?;
-        let mut res = CANONICAL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => self.canonical_core_traced(q, k, &plan, &mut scratch, trace),
-            Err(_) => self.canonical_core_traced(q, k, &plan, &mut ProberScratch::new(), trace),
+        let mut res = with_canonical_scratch(|scratch| {
+            self.canonical_core_traced(q, k, &plan, scratch, trace)
         })?;
         if opts.skip_stats {
             res.stats = QueryStats::default();
@@ -1259,7 +1262,7 @@ impl DbLsh {
         let mut prober = self.ladder_prober_traced(q, scratch, trace)?;
         let mut ladder = CanonicalLadder::new(plan, self.params.c, k, self.len());
         let mut stats = QueryStats::default();
-        let mut keys: Vec<u64> = Vec::new();
+        let mut keys = std::mem::take(&mut prober.scratch.round_keys);
         while let Some(r) = ladder.begin_round(&mut stats) {
             keys.clear();
             let prune = plan.prefilter.then(|| ladder.prune_threshold());
@@ -1276,6 +1279,7 @@ impl DbLsh {
             ladder.consume(&keys, &mut stats);
             trace.add(Stage::Merge, merge_started.elapsed().as_nanos() as u64);
         }
+        prober.scratch.round_keys = keys;
         Ok(ladder.into_result(stats))
     }
 }
@@ -1302,9 +1306,11 @@ impl AnnIndex for DbLsh {
 mod tests {
     use super::*;
     use crate::params::DbLshParams;
+    use dblsh_data::dataset::sq_dist;
     use dblsh_data::ground_truth::exact_knn_single;
     use dblsh_data::synthetic::{gaussian_mixture, split_queries, MixtureConfig};
     use dblsh_data::{metrics, Dataset};
+    use dblsh_index::CoordSource;
     use std::sync::Arc;
 
     fn clustered(n: usize, dim: usize, seed: u64) -> Dataset {
@@ -1730,6 +1736,120 @@ mod tests {
                 .unwrap();
             assert_eq!(a.neighbors, b.neighbors);
             assert_eq!(a.stats, b.stats);
+        }
+    }
+
+    /// The canonical ladder by brute force: per round, the ids inside
+    /// each tree's window by the `f64` reference predicate over the
+    /// projection store (no tree, no `f32` window), verified with the
+    /// scalar kernel and consumed under Algorithm 1's rules.
+    fn brute_force_canonical(idx: &DbLsh, q: &[f32], k: usize) -> SearchResult {
+        let p = idx.params();
+        let mut qproj = vec![0.0f64; p.k];
+        let mut seen = vec![false; idx.store.len()];
+        let mut top: Vec<Neighbor> = Vec::new();
+        let mut stats = QueryStats::default();
+        let (budget, live) = (p.kann_budget(k), idx.len());
+        let mut r = p.r_min;
+        while stats.rounds < p.max_rounds {
+            stats.rounds += 1;
+            let cr = p.c * r;
+            let within = |top: &[Neighbor]| top.len() == k && top[k - 1].dist as f64 <= cr;
+            if within(&top) {
+                break;
+            }
+            let mut keys: Vec<u64> = Vec::new();
+            for i in 0..p.l {
+                idx.hasher().project_into(i, q, &mut qproj);
+                let window = Rect::centered_cube(&qproj, p.w0 * r);
+                let view = idx.proj_store().view(i);
+                for id in 0..idx.store.len() as u32 {
+                    let bounds = window.lo().iter().zip(window.hi());
+                    let mut at = view.coords(id).iter().zip(bounds);
+                    if !at.all(|(&v, (&lo, &hi))| lo <= v as f64 && v as f64 <= hi) {
+                        continue;
+                    }
+                    stats.index_probes += 1;
+                    if !std::mem::replace(&mut seen[id as usize], true) {
+                        let d2 = sq_dist(q, idx.verify_data().point(id as usize));
+                        keys.push(((d2.to_bits() as u64) << 32) | idx.to_ext(id) as u64);
+                    }
+                }
+            }
+            keys.sort_unstable();
+            let mut done = false;
+            for key in keys {
+                stats.candidates += 1;
+                let (id, d) = key_parts(key);
+                top.push(Neighbor { id, dist: d as f32 });
+                top.sort_by(|a, b| a.dist.total_cmp(&b.dist)); // stable: ties keep key order
+                top.truncate(k);
+                if stats.candidates >= budget || within(&top) {
+                    done = true;
+                    break;
+                }
+            }
+            if done || stats.candidates >= live {
+                break;
+            }
+            r *= p.c;
+        }
+        SearchResult {
+            neighbors: top,
+            stats,
+        }
+    }
+
+    #[test]
+    fn canonical_search_equals_brute_force_over_f64_windows() {
+        // Pins in tier-1 what the benchmark's traced replay checks:
+        // `index_probes` is the number of ids inside the probed windows,
+        // and the answer is the canonical ladder over exactly those sets.
+        let mut data = clustered(2500, 16, 21);
+        let queries = split_queries(&mut data, 25, 4);
+        let data = Arc::new(data);
+        // K = 10: two whole SIMD chunks and an overlapping tail.
+        let params = DbLshParams::paper_defaults(data.len())
+            .with_kl(10, 4)
+            .with_r_min(0.5);
+        for relabel in [true, false] {
+            let idx =
+                DbLsh::build(Arc::clone(&data), &params.clone().with_relabel(relabel)).unwrap();
+            let mut probes = 0;
+            for qi in 0..queries.len() {
+                let q = queries.point(qi);
+                let want = brute_force_canonical(&idx, q, 10);
+                let exact = SearchOptions {
+                    prefilter: false,
+                    ..Default::default()
+                };
+                let got = idx.search_canonical(q, 10, &exact).unwrap();
+                assert_eq!(
+                    got.neighbors, want.neighbors,
+                    "relabel {relabel} query {qi}"
+                );
+                assert_eq!(got.stats, want.stats, "relabel {relabel} query {qi}");
+                // The prefilter reorders only the unread tail of a round.
+                let screened = idx
+                    .search_canonical(q, 10, &SearchOptions::default())
+                    .unwrap();
+                assert_eq!(screened.neighbors, want.neighbors, "query {qi}");
+                assert_eq!(
+                    (
+                        screened.stats.rounds,
+                        screened.stats.index_probes,
+                        screened.stats.candidates
+                    ),
+                    (
+                        want.stats.rounds,
+                        want.stats.index_probes,
+                        want.stats.candidates
+                    ),
+                    "relabel {relabel} query {qi}"
+                );
+                probes += want.stats.index_probes;
+            }
+            assert!(probes > 1000, "windows too empty to pin anything: {probes}");
         }
     }
 

@@ -29,6 +29,15 @@ pub struct QueryStats {
     pub rounds: usize,
     /// Index entries touched while generating candidates (window-query
     /// results, cursor steps, bucket hits — whatever the method counts).
+    ///
+    /// For DB-LSH this is the number of **ids inside the probed
+    /// windows**: the cardinality of `W(G_i(q), w0·r)`, summed over the
+    /// trees and ladder rounds the query scanned (up to where it
+    /// stopped, for the modes that stop mid-round). An id inside several
+    /// trees' windows, or inside the nested windows of successive
+    /// rounds, counts each time — re-visits included, so it is a
+    /// property of the windows alone, not of how a tree was traversed to
+    /// enumerate them.
     pub index_probes: usize,
     /// Wall-clock nanoseconds spent in exact-distance verification, when
     /// the caller opted into timing (DB-LSH:

@@ -19,8 +19,10 @@
 //! Coordinates are `f32`: the datasets this workspace indexes are `f32`
 //! to begin with, so storing projections at the same precision halves
 //! the memory traffic of every leaf scan without losing information the
-//! input ever had. Query-side geometry (windows, distances) is computed
-//! in `f64` over values cast up from the store.
+//! input ever had. Distances are computed in `f64` over values cast up
+//! from the store; window membership is decided in `f32` itself, against
+//! the query window rounded inward to `f32` — which selects exactly the
+//! points the `f64` comparison would (see the crate docs).
 
 /// Resolves point ids to coordinate slices.
 ///

@@ -11,6 +11,8 @@
 //! * **window queries** as *pausable cursors* ([`RStarTree::window`]) — the
 //!   query phase issues `W(G_i(q), w0 r)` and must be able to stop after
 //!   `2tL + 1` verified points (Algorithm 1), so enumeration is lazy;
+//!   [`RStarTree::window_cube_in`] runs the same cursor in a caller-kept
+//!   [`WindowScratch`], so a query's `L` probes per round allocate nothing;
 //! * **incremental insertion and deletion** with the R\* heuristics
 //!   (forced reinsertion, margin-driven split) for dynamic workloads;
 //! * **best-first incremental nearest-neighbor search**
@@ -30,11 +32,20 @@
 //! each owning a copy of its column.
 //!
 //! Stored coordinates and bounds are `f32` (the precision of the `f32`
-//! datasets they derive from — half the memory traffic of a leaf scan),
-//! while query geometry ([`Rect`] windows, distances, R\* heuristics)
-//! is computed in `f64` over values cast up from storage. The dimension
-//! is a runtime parameter (the projected dimensionality `K` is chosen
-//! per dataset). API contracts
+//! datasets they derive from — half the memory traffic of a leaf scan).
+//! Distances and the R\* insert/split heuristics are computed in `f64`
+//! over values cast up from storage. Window queries are not: a [`Rect`]
+//! window is given in `f64`, but a probe rounds it **inward** to `f32`
+//! once — `lo32` the smallest `f32 >= lo`, `hi32` the largest `f32 <=
+//! hi` — and tests points and boxes in `f32`, four lanes at a time and
+//! without data-dependent branches (explicit SSE2 on `x86_64`, the same
+//! comparisons in safe code elsewhere). Nothing is lost: `f32 -> f64` is
+//! exact and order-preserving, so for every stored `v`,
+//! `lo <= v as f64 <= hi` holds iff `lo32 <= v <= hi32` — the `f32`
+//! probe returns exactly the ids the mixed-precision comparison would
+//! (a proptest holds it to that reference on boundary and extreme
+//! values). The dimension is a runtime parameter (the projected
+//! dimensionality `K` is chosen per dataset). API contracts
 //! (finite coordinates, matching dimensionality, stable ids) are
 //! documented per method and enforced with `debug_assert!`; release
 //! builds trust callers that validate at their own boundary, as
@@ -45,9 +56,10 @@ mod coords;
 mod query;
 mod rect;
 mod tree;
+mod window;
 
 pub use bulk::str_order;
 pub use coords::{CoordSource, OwnedCoords, StridedCoords};
-pub use query::{NearestIter, WindowCursor};
+pub use query::{NearestIter, WindowCursor, WindowScratch};
 pub use rect::Rect;
 pub use tree::{RStarTree, TreeStats};

@@ -7,46 +7,48 @@
 //! no rectangle is cloned and nothing is allocated per step (the only
 //! allocations are the cursor's own stack/heap, once per query).
 
+use std::borrow::BorrowMut;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::coords::CoordSource;
 use crate::rect::{geom, Rect};
 use crate::tree::{child_bounds, RStarTree};
+use crate::window::{ceil_f32, floor_f32, Window32};
 
 impl RStarTree {
     /// Lazy window query: yields the id of every point inside `window`,
-    /// in index order. The cursor borrows the tree, the coordinate
-    /// source and the window; it can be dropped at any time, which is
-    /// how Algorithm 1 of the paper stops after `2tL + 1` verified
+    /// in index order. The cursor borrows the tree and the coordinate
+    /// source and owns its buffers; it can be dropped at any time, which
+    /// is how Algorithm 1 of the paper stops after `2tL + 1` verified
     /// candidates. (Coordinates of a yielded id are one
     /// [`CoordSource::coords`] call away for callers that need them.)
     ///
     /// Contract (debug-checked): `window.dim() == self.dim() == src.dim()`.
-    pub fn window<'t, S: CoordSource>(
+    pub fn window<'t, S: CoordSource>(&'t self, src: &'t S, window: &Rect) -> WindowCursor<'t, S> {
+        let (lo, hi) = (window.lo().iter().copied(), window.hi().iter().copied());
+        WindowCursor::start(self, src, WindowScratch::new(), lo, hi)
+    }
+
+    /// [`RStarTree::window`] over the hypercube of side `side` centered
+    /// at `center` — the same corners [`Rect::centered_cube`] computes —
+    /// running in the caller's `buf` instead of buffers of its own: a
+    /// caller that keeps one [`WindowScratch`] probes without allocating.
+    ///
+    /// Contract (debug-checked): `center.len() == self.dim() == src.dim()`
+    /// and `side >= 0`.
+    pub fn window_cube_in<'t, S: CoordSource>(
         &'t self,
         src: &'t S,
-        window: &'t Rect,
-    ) -> WindowCursor<'t, S> {
-        debug_assert_eq!(window.dim(), self.dim(), "window dimensionality mismatch");
-        debug_assert_eq!(src.dim(), self.dim(), "source dimensionality mismatch");
-        let mut cursor = WindowCursor {
-            tree: self,
-            src,
-            lo: window.lo(),
-            hi: window.hi(),
-            hits: Vec::new(),
-            hit_at: 0,
-            stack: Vec::new(),
-        };
-        // A single-leaf tree scans the root directly; taller trees start
-        // with the root on the inner-node stack.
-        if self.nodes[self.root].is_leaf() {
-            cursor.scan_leaf(self.root, false);
-        } else {
-            cursor.stack.push((self.root, 0));
-        }
-        cursor
+        center: &[f64],
+        side: f64,
+        buf: &'t mut WindowScratch,
+    ) -> WindowCursor<'t, S, &'t mut WindowScratch> {
+        debug_assert!(side >= 0.0, "invalid width {side}");
+        let half = side / 2.0;
+        let lo = center.iter().map(|&c| c - half);
+        let hi = center.iter().map(|&c| c + half);
+        WindowCursor::start(self, src, buf, lo, hi)
     }
 
     /// Eager window query, mainly for tests.
@@ -183,6 +185,36 @@ impl RStarTree {
     }
 }
 
+/// The buffers of one window probe: the window's inward-rounded `f32`
+/// corners, the DFS stack and the current leaf's hits. A
+/// [`RStarTree::window`] cursor allocates its own; callers that probe in
+/// a loop keep one and pass it to [`RStarTree::window_cube_in`].
+#[derive(Debug, Default)]
+pub struct WindowScratch {
+    /// The window in storage precision (see the `window` module): the lo
+    /// corner's `dim` values, then the hi corner's.
+    corners: Vec<f32>,
+    /// (inner node index, next entry position) — explicit DFS stack so
+    /// the enumeration can pause between leaves.
+    stack: Vec<(u32, u32)>,
+    /// Hits of the current leaf; `hit_at` is the drain position.
+    hits: Vec<u32>,
+    hit_at: usize,
+}
+
+impl WindowScratch {
+    /// Empty buffers (const-constructible for thread-local pools); they
+    /// size themselves on first use.
+    pub const fn new() -> Self {
+        WindowScratch {
+            corners: Vec::new(),
+            stack: Vec::new(),
+            hits: Vec::new(),
+            hit_at: 0,
+        }
+    }
+}
+
 /// Lazy depth-first window-query cursor. See [`RStarTree::window`].
 ///
 /// The cursor works one leaf at a time: when the descent reaches a leaf
@@ -197,20 +229,45 @@ impl RStarTree {
 /// Callers that verify candidates in blocks consume whole leaves through
 /// [`WindowCursor::next_batch`] instead of the per-id [`Iterator`]; both
 /// interfaces share the same traversal state and can be mixed.
-pub struct WindowCursor<'t, S> {
+///
+/// `B` is where the traversal state lives: a [`WindowScratch`] of the
+/// cursor's own, or the caller's by `&mut`.
+pub struct WindowCursor<'t, S, B = WindowScratch> {
     tree: &'t RStarTree,
     src: &'t S,
-    lo: &'t [f64],
-    hi: &'t [f64],
-    /// Hits of the current leaf; `hit_at` is the drain position.
-    hits: Vec<u32>,
-    hit_at: usize,
-    /// (inner node index, next entry position) — explicit DFS stack so
-    /// the enumeration can pause between leaves.
-    stack: Vec<(usize, usize)>,
+    buf: B,
 }
 
-impl<S: CoordSource> WindowCursor<'_, S> {
+impl<'t, S: CoordSource, B: BorrowMut<WindowScratch>> WindowCursor<'t, S, B> {
+    /// Cursor over the window with `f64` corners `lo`, `hi`, positioned
+    /// before the first hit.
+    fn start(
+        tree: &'t RStarTree,
+        src: &'t S,
+        mut buf: B,
+        lo: impl ExactSizeIterator<Item = f64>,
+        hi: impl ExactSizeIterator<Item = f64>,
+    ) -> Self {
+        debug_assert_eq!(lo.len(), tree.dim(), "window dimensionality mismatch");
+        debug_assert_eq!(src.dim(), tree.dim(), "source dimensionality mismatch");
+        let st = buf.borrow_mut();
+        st.corners.clear();
+        st.corners.extend(lo.map(ceil_f32));
+        st.corners.extend(hi.map(floor_f32));
+        st.stack.clear();
+        st.hits.clear();
+        st.hit_at = 0;
+        let mut cursor = WindowCursor { tree, src, buf };
+        // A single-leaf tree scans the root directly; taller trees start
+        // with the root on the inner-node stack.
+        if tree.nodes[tree.root].is_leaf() {
+            cursor.scan_leaf(tree.root, false);
+        } else {
+            cursor.buf.borrow_mut().stack.push((tree.root as u32, 0));
+        }
+        cursor
+    }
+
     /// Advance to the next leaf with in-window points and return all of
     /// them at once — the batch interface the blocked verification
     /// pipeline drains (one tree leaf per batch, so the pause granularity
@@ -218,67 +275,81 @@ impl<S: CoordSource> WindowCursor<'_, S> {
     /// the window is exhausted. Ids not yet drained through `next()` are
     /// included in the first batch.
     pub fn next_batch(&mut self) -> Option<&[u32]> {
-        while self.hit_at >= self.hits.len() {
+        loop {
+            let st = self.buf.borrow();
+            if st.hit_at < st.hits.len() {
+                break;
+            }
             self.descend_to_next_leaf()?;
         }
-        let at = self.hit_at;
-        self.hit_at = self.hits.len();
-        Some(&self.hits[at..])
+        let st = self.buf.borrow_mut();
+        let at = std::mem::replace(&mut st.hit_at, st.hits.len());
+        Some(&st.hits[at..])
     }
 
     /// Walk the DFS stack to the next leaf intersecting the window and
     /// scan it into the hit buffer. `None` when the traversal is done.
     fn descend_to_next_leaf(&mut self) -> Option<()> {
-        let dim = self.tree.dim();
+        let tree = self.tree;
+        let dim = tree.dim();
         loop {
-            let &(node, pos) = self.stack.last()?;
-            let n = &self.tree.nodes[node];
+            let st = self.buf.borrow_mut();
+            let top = st.stack.last_mut()?;
+            let (n, pos) = (&tree.nodes[top.0 as usize], top.1 as usize);
             if pos >= n.children.len() {
-                self.stack.pop();
+                st.stack.pop();
                 continue;
             }
-            if let Some(top) = self.stack.last_mut() {
-                top.1 += 1;
-            }
+            top.1 += 1;
             let (blo, bhi) = child_bounds(n, dim, pos);
-            if geom::window_intersects(self.lo, self.hi, blo, bhi) {
-                let c = n.children[pos] as usize;
-                let child = &self.tree.nodes[c];
-                if child.is_leaf() {
-                    let contained = geom::window_contains_box(self.lo, self.hi, blo, bhi);
-                    self.scan_leaf(c, contained);
+            let window = Window32::from_corners(&st.corners);
+            if window.intersects(blo, bhi) {
+                let c = n.children[pos];
+                // Children of a level-1 node are leaves.
+                if n.level == 1 {
+                    let contained = window.contains_box(blo, bhi);
+                    self.scan_leaf(c as usize, contained);
                     return Some(());
                 }
-                self.stack.push((c, 0));
+                st.stack.push((c, 0));
             }
         }
     }
 
-    /// Refill the hit buffer from leaf `idx`.
+    /// Refill the hit buffer from leaf `idx`: all of it when the leaf is
+    /// `fully_contained`, else the points inside the window, compacted
+    /// without a branch on the (unpredictable) test outcome.
     fn scan_leaf(&mut self, idx: usize, fully_contained: bool) {
-        let n = &self.tree.nodes[idx];
-        self.hits.clear();
-        self.hit_at = 0;
+        let ids = &self.tree.nodes[idx].children[..];
+        let st = self.buf.borrow_mut();
+        st.hit_at = 0;
+        st.hits.clear();
         if fully_contained {
-            self.hits.extend_from_slice(&n.children);
-        } else {
-            self.hits.extend(
-                n.children.iter().copied().filter(|&id| {
-                    geom::window_contains_point(self.lo, self.hi, self.src.coords(id))
-                }),
-            );
+            st.hits.extend_from_slice(ids);
+            return;
         }
+        // Every id is stored at the write position; the position moves
+        // on only past the ids that are inside.
+        st.hits.resize(ids.len(), 0);
+        let window = Window32::from_corners(&st.corners);
+        let mut kept = 0;
+        for &id in ids {
+            st.hits[kept] = id;
+            kept += usize::from(window.contains_point(self.src.coords(id)));
+        }
+        st.hits.truncate(kept);
     }
 }
 
-impl<S: CoordSource> Iterator for WindowCursor<'_, S> {
+impl<S: CoordSource, B: BorrowMut<WindowScratch>> Iterator for WindowCursor<'_, S, B> {
     type Item = u32;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             // Fast path: drain the current leaf's hits.
-            if let Some(&id) = self.hits.get(self.hit_at) {
-                self.hit_at += 1;
+            let st = self.buf.borrow_mut();
+            if let Some(&id) = st.hits.get(st.hit_at) {
+                st.hit_at += 1;
                 return Some(id);
             }
             // Descend to the next leaf whose bounds intersect the window.
@@ -484,6 +555,36 @@ mod tests {
         }
         mixed.sort_unstable();
         assert_eq!(mixed, want);
+    }
+
+    #[test]
+    fn cube_probe_in_a_reused_scratch_equals_the_rect_window() {
+        // One scratch across trees of different shape and dimension,
+        // including after a cursor abandoned mid-leaf: every probe must
+        // start clean and yield the ids of `window(&centered_cube)` in
+        // the same order.
+        let mut buf = WindowScratch::new();
+        let (grid, grid_tree) = build_grid(15);
+        let line = OwnedCoords::from_flat(1, (0..40).map(|i| i as f32 * 0.5).collect());
+        let line_tree = RStarTree::bulk_load(&line, &(0..40).collect::<Vec<u32>>());
+        let five = OwnedCoords::from_flat(5, (0..500).map(|i| (i * 7 % 31) as f32).collect());
+        let five_tree = RStarTree::bulk_load(&five, &(0..100).collect::<Vec<u32>>());
+        let probes: [(&OwnedCoords, &RStarTree, &[f64], f64); 5] = [
+            (&grid, &grid_tree, &[7.0, 7.0], 6.0),
+            (&line, &line_tree, &[10.1], 3.0),
+            (&five, &five_tree, &[15.0, 15.0, 15.0, 15.0, 15.0], 29.0),
+            (&grid, &grid_tree, &[0.5, 13.5], 3.0),
+            (&grid, &grid_tree, &[100.0, 100.0], 1.0),
+        ];
+        for (src, tree, center, side) in probes {
+            let want = tree.window_all(src, &Rect::centered_cube(center, side));
+            let mut cursor = tree.window_cube_in(src, center, side, &mut buf);
+            let got: Vec<u32> = cursor.by_ref().collect();
+            assert_eq!(got, want, "center {center:?} side {side}");
+            assert!(cursor.next_batch().is_none());
+            // leave the scratch mid-leaf for the next probe
+            let _ = tree.window_cube_in(src, center, side, &mut buf).next();
+        }
     }
 
     #[test]

@@ -198,9 +198,11 @@ impl Rect {
 /// Stored bounds and coordinates are `f32` (half the memory traffic of
 /// the hot path); every derived quantity (areas, margins, distances) is
 /// accumulated in `f64` so the R\* heuristics never overflow or lose
-/// order on high-dimensional products. The mixed-precision predicates at
-/// the bottom compare `f64` query windows against stored `f32` data by
-/// casting the stored values up, which is exact.
+/// order on high-dimensional products. Window queries do not come
+/// through here: they run on the exact `f32` window of
+/// [`crate::window`], and the mixed-precision `window_*` predicates at
+/// the bottom (an `f64` window against stored values cast up, which is
+/// exact) are compiled for tests only, as that kernel's reference.
 pub(crate) mod geom {
     /// Hyper-volume (product of side lengths, in `f64`).
     #[inline]
@@ -314,7 +316,7 @@ pub(crate) mod geom {
     // --- mixed precision: f64 query geometry vs f32 stored data ---
 
     /// True iff stored point `p` lies inside the `f64` query window.
-    #[inline]
+    #[cfg(test)]
     pub fn window_contains_point(lo: &[f64], hi: &[f64], p: &[f32]) -> bool {
         debug_assert_eq!(lo.len(), p.len());
         lo.iter()
@@ -324,7 +326,7 @@ pub(crate) mod geom {
     }
 
     /// True iff the `f64` query window intersects the stored `f32` box.
-    #[inline]
+    #[cfg(test)]
     pub fn window_intersects(wlo: &[f64], whi: &[f64], blo: &[f32], bhi: &[f32]) -> bool {
         wlo.iter().zip(bhi).all(|(&w, &b)| w <= b as f64)
             && blo.iter().zip(whi).all(|(&b, &w)| b as f64 <= w)
@@ -332,7 +334,7 @@ pub(crate) mod geom {
 
     /// True iff the stored `f32` box lies fully inside the `f64` query
     /// window (boundary inclusive) — every point below it is a hit.
-    #[inline]
+    #[cfg(test)]
     pub fn window_contains_box(wlo: &[f64], whi: &[f64], blo: &[f32], bhi: &[f32]) -> bool {
         wlo.iter().zip(blo).all(|(&w, &b)| w <= b as f64)
             && bhi.iter().zip(whi).all(|(&b, &w)| b as f64 <= w)

@@ -46,43 +46,72 @@ fn brute_knn(pts: &[Vec<f32>], q: &[f64], k: usize) -> Vec<f64> {
     d
 }
 
+/// Dimensionalities the window tests run at: below one 4-lane chunk
+/// (the safe arm of the probe kernel), whole chunks (4, 8, 12) and every
+/// overlapping-tail length (5, 7, 10, 13).
+const WINDOW_DIMS: [usize; 9] = [1, 3, 4, 5, 7, 8, 10, 12, 13];
+
+/// A window over the first `dim` coordinates, sized (with `center`
+/// near the middle of the cloud and `width` near 1) so that several
+/// percent of a uniform `[-50, 50]^dim` cloud fall inside whatever the
+/// dimensionality.
+fn window_at(dim: usize, center: &[f64], width: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let side = 100.0 * 0.15f64.powf(1.0 / dim as f64);
+    let lo = (0..dim)
+        .map(|i| center[i] - side * width[i] / 2.0)
+        .collect();
+    let hi = (0..dim)
+        .map(|i| center[i] + side * width[i] / 2.0)
+        .collect();
+    (lo, hi)
+}
+
+/// The first `dim` coordinates of every point.
+fn truncated(pts: &[Vec<f32>], dim: usize) -> Vec<Vec<f32>> {
+    pts.iter().map(|p| p[..dim].to_vec()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn window_equals_brute_force_incremental(
-        pts in points(3, 200),
-        corner in prop::collection::vec(-60.0f64..60.0, 3),
-        extent in prop::collection::vec(0.0f64..60.0, 3),
+        pts in points(13, 200),
+        center in prop::collection::vec(-15.0f64..15.0, 13),
+        width in prop::collection::vec(0.85f64..1.15, 13),
     ) {
-        let src = source(&pts, 3);
-        let mut t = RStarTree::new(3);
-        for i in 0..pts.len() {
-            t.insert(&src, i as u32);
+        for dim in WINDOW_DIMS {
+            let pts = truncated(&pts, dim);
+            let src = source(&pts, dim);
+            let mut t = RStarTree::new(dim);
+            for i in 0..pts.len() {
+                t.insert(&src, i as u32);
+            }
+            t.check_invariants(&src);
+            let (lo, hi) = window_at(dim, &center, &width);
+            let mut got = t.window_all(&src, &Rect::new(&lo, &hi));
+            got.sort_unstable();
+            prop_assert_eq!(got, brute_window(&pts, &lo, &hi), "dim {}", dim);
         }
-        t.check_invariants(&src);
-        let hi: Vec<f64> = corner.iter().zip(&extent).map(|(c, e)| c + e).collect();
-        let w = Rect::new(&corner, &hi);
-        let mut got = t.window_all(&src, &w);
-        got.sort_unstable();
-        prop_assert_eq!(got, brute_window(&pts, &corner, &hi));
     }
 
     #[test]
     fn window_equals_brute_force_bulk(
-        pts in points(2, 400),
-        corner in prop::collection::vec(-60.0f64..60.0, 2),
-        extent in prop::collection::vec(0.0f64..60.0, 2),
+        pts in points(13, 400),
+        center in prop::collection::vec(-15.0f64..15.0, 13),
+        width in prop::collection::vec(0.85f64..1.15, 13),
     ) {
-        let src = source(&pts, 2);
-        let ids: Vec<u32> = (0..pts.len() as u32).collect();
-        let t = RStarTree::bulk_load(&src, &ids);
-        t.check_invariants(&src);
-        let hi: Vec<f64> = corner.iter().zip(&extent).map(|(c, e)| c + e).collect();
-        let w = Rect::new(&corner, &hi);
-        let mut got = t.window_all(&src, &w);
-        got.sort_unstable();
-        prop_assert_eq!(got, brute_window(&pts, &corner, &hi));
+        for dim in WINDOW_DIMS {
+            let pts = truncated(&pts, dim);
+            let src = source(&pts, dim);
+            let ids: Vec<u32> = (0..pts.len() as u32).collect();
+            let t = RStarTree::bulk_load(&src, &ids);
+            t.check_invariants(&src);
+            let (lo, hi) = window_at(dim, &center, &width);
+            let mut got = t.window_all(&src, &Rect::new(&lo, &hi));
+            got.sort_unstable();
+            prop_assert_eq!(got, brute_window(&pts, &lo, &hi), "dim {}", dim);
+        }
     }
 
     #[test]

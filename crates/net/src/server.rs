@@ -297,17 +297,47 @@ fn acceptor_loop(
     }
 }
 
+/// How long [`refuse`] waits for a refused peer to hang up.
+const REFUSE_DRAIN: Duration = Duration::from_millis(50);
+
 /// Send a best-effort typed error frame (request id 0: connection-level,
 /// not tied to any request) and close.
+///
+/// Closing a socket that still holds unread bytes — a peer's first
+/// request usually arrives before the acceptor gets to it — sends RST,
+/// which can discard the frame just written before the peer reads it.
+/// So: half-close the write side (FIN after the frame), then read and
+/// discard until the peer hangs up. The wait is bounded by
+/// [`REFUSE_DRAIN`] and one `max_frame` of bytes, so a peer that keeps
+/// sending, or never closes, holds the acceptor no longer than that.
 fn refuse(shared: &Shared, stream: TcpStream, err: NetError) {
     // order: standalone lifetime counter, reporting only.
     shared.stats.refused.fetch_add(1, Ordering::Relaxed);
     let mut stream = stream;
     let _ = stream.set_nodelay(true);
+    // Some platforms hand accepted sockets the listener's non-blocking
+    // mode; the bounded drain below needs timed blocking reads.
+    let _ = stream.set_nonblocking(false);
     let body = encode_response(0, &Response::Error(err));
     let _ = write_len_frame(&mut stream, &body, shared.config.max_frame);
     let _ = stream.flush();
-    let _ = stream.shutdown(SockShutdown::Both);
+    let _ = stream.shutdown(SockShutdown::Write);
+    let deadline = Instant::now() + REFUSE_DRAIN;
+    let mut budget = shared.config.max_frame as usize + 4;
+    let mut sink = [0u8; 4096];
+    while budget > 0 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        let want = budget.min(sink.len());
+        match stream.read(&mut sink[..want]) {
+            Ok(0) => break, // the peer closed: nothing unread is left
+            Ok(n) => budget -= n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break, // timed out, or the peer reset
+        }
+    }
 }
 
 /// Incremental frame reader that survives read timeouts: `read_exact`

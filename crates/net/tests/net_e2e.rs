@@ -493,6 +493,42 @@ fn connection_limit_refuses_with_typed_busy() {
 }
 
 #[test]
+fn refusal_arrives_typed_whenever_the_request_is_sent() {
+    // A refused client sends its first request without reading first.
+    // Sent at once, the request is already in the server's receive
+    // buffer when the acceptor (which polls every few milliseconds)
+    // refuses the connection; sent a little later, it reaches a server
+    // that has already answered. Either way the refusal must arrive as
+    // the typed Busy frame — never as a reset or EOF racing the close.
+    let fx = fixture(200, 8, 1, 16);
+    let server = start_server(
+        &fx.engine,
+        ServerConfig {
+            max_connections: 1,
+            ..Default::default()
+        },
+    );
+    let addr = server.local_addr().to_string();
+    let mut holder = DbLshClient::connect(&addr).expect("first connection");
+    assert_eq!(holder.ping(0).expect("holds the only slot"), 0);
+    const CONNECTS: u64 = 200;
+    for i in 1..=CONNECTS {
+        let mut refused = DbLshClient::connect(&addr).expect("tcp-level connect succeeds");
+        if i % 2 == 0 {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        // `ping` writes the request, then reads.
+        match refused.ping(i) {
+            Err(NetError::Remote(DbLshError::Busy)) => {}
+            other => panic!("over-limit connect {i}: expected typed Busy, got {other:?}"),
+        }
+    }
+    assert_eq!(server.stats().refused, CONNECTS);
+    assert_eq!(holder.ping(7).expect("the held connection is untouched"), 7);
+    server.shutdown();
+}
+
+#[test]
 fn retry_policy_rides_out_a_busy_refusal() {
     let fx = fixture(200, 8, 1, 16);
     let server = start_server(
