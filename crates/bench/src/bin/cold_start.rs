@@ -144,6 +144,13 @@ fn main() {
         load_s,
         build_s / load_s.max(1e-9),
     );
+    let mb = |b: usize| b as f64 / (1024.0 * 1024.0);
+    println!(
+        "memory: index structures {:.2} MB + dataset rows {:.2} MB (held once, in internal order; \
+         the snapshot stores them as they lie)",
+        mb(loaded.memory_bytes()),
+        mb(std::mem::size_of_val(loaded.data().flat())),
+    );
 
     // Churn phase: tombstone, compact, snapshot again — the restartable
     // long-running shard scenario.

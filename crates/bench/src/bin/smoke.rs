@@ -55,8 +55,12 @@ fn main() {
         mb(breakdown.tree_bytes)
     );
     println!(
-        "relabel state (maps + rows):     {:>9.3} MB",
+        "id maps (2 x u32 per row):       {:>9.3} MB",
         mb(breakdown.relabel_bytes)
+    );
+    println!(
+        "SQ8 codes (u8 per coordinate):   {:>9.3} MB",
+        mb(breakdown.sq8_bytes)
     );
     println!(
         "dead (tombstoned) share:         {:>9.3} MB",
@@ -80,6 +84,10 @@ fn main() {
         mb(breakdown.total())
     );
     assert_eq!(breakdown.total(), index.index_size_bytes());
+    println!(
+        "dataset rows (one copy, internal order, not in the total): {:.3} MB",
+        mb(std::mem::size_of_val(index.data().flat()))
+    );
 
     let row = evaluate(&index, &mut env, 10, build_s);
     println!(

@@ -14,7 +14,8 @@
 //!     .auto_r_min()
 //!     .build(data)
 //!     .expect("valid configuration and data");
-//! let result = index.k_ann(index.data().point(0), 10).expect("well-formed query");
+//! let query = index.point(0).expect("id 0 is live");
+//! let result = index.k_ann(query, 10).expect("well-formed query");
 //! assert!(!result.neighbors.is_empty());
 //! ```
 
@@ -222,7 +223,10 @@ impl DbLshBuilder {
         Ok(params)
     }
 
-    /// Build the index over `data` (`Dataset` or `Arc<Dataset>`).
+    /// Build the index over `data` (`Dataset` or `Arc<Dataset>`). The
+    /// index takes the rows over and keeps no handle to the caller's
+    /// dataset — pass an owned `Dataset` to avoid holding a second copy
+    /// (see [`DbLsh::build`]).
     ///
     /// Fails — never panics — on an empty dataset, a non-positive or
     /// non-finite knob, `k`/`l`/`t` of zero, or a dataset too large for

@@ -10,16 +10,17 @@
 //!
 //! At bulk build the index (by default) computes a *locality-preserving
 //! permutation* of the points — the STR leaf order of tree 0 over the
-//! first projected space ([`dblsh_index::str_order`]) — and physically
-//! reorders its own copies of the dataset rows and the projection-store
-//! rows to match. Every id inside the trees and the store is an
-//! **internal** id (a row in the relabeled layout); every id that crosses
-//! the public API — [`DbLsh::insert`]'s return value, [`DbLsh::remove`]'s
-//! argument, `Neighbor::id` in results — is an **external** id (the
-//! caller's original row index), translated through two `u32` maps.
-//! Queries therefore read near-sequential memory in leaf scans and
-//! candidate verification while callers never observe the permutation:
-//! answers are byte-identical to an identity-order build — up to
+//! first projected space ([`dblsh_index::str_order`]) — and lays out its
+//! dataset rows and its projection-store rows in that order. The index
+//! holds the vectors **once**, in this internal order. Every id inside
+//! the trees and the store is an **internal** id (a row in the relabeled
+//! layout); every id that crosses the public API — [`DbLsh::insert`]'s
+//! return value, [`DbLsh::remove`]'s argument, `Neighbor::id` in results
+//! — is an **external** id (the caller's original row index), translated
+//! through two `u32` maps. Queries therefore read near-sequential memory
+//! in leaf scans and candidate verification while no id or answer shows
+//! the permutation (only the row order of [`DbLsh::data`] does): answers
+//! are byte-identical to an identity-order build — up to
 //! tie-breaking among exact duplicate points, whose identical projections
 //! make leaf assignment order-dependent — a property the relabel parity
 //! tests assert on distinct-point data.
@@ -86,38 +87,32 @@ pub struct CompactionStats {
 /// them. [`DbLsh::len`] counts live points only.
 ///
 /// All ids on this public surface — arguments to [`DbLsh::remove`] /
-/// [`DbLsh::contains`], return values of [`DbLsh::insert`], and
-/// `Neighbor::id` in every query result — are **external** ids: row
-/// indexes into the dataset exactly as the caller supplied it (see
-/// [`DbLsh::data`]). The locality-relabeled internal id space (module
-/// docs) never leaks.
+/// [`DbLsh::contains`] / [`DbLsh::point`], return values of
+/// [`DbLsh::insert`], and `Neighbor::id` in every query result — are
+/// **external** ids: row indexes into the dataset exactly as the caller
+/// supplied it. The locality-relabeled internal id space (module docs)
+/// shows only in the physical row order of [`DbLsh::data`].
 #[derive(Debug)]
 pub struct DbLsh {
     pub(crate) params: DbLshParams,
     pub(crate) hasher: GaussianHasher,
     pub(crate) trees: Vec<RStarTree>,
     pub(crate) store: ProjStore,
-    /// The point rows, ascending by external id (until the first
-    /// [`DbLsh::compact`] this means row `i` = id `i`). Holds the rows
-    /// of tombstoned-but-not-yet-compacted ids too; always in lockstep
+    /// The point rows in *internal* (store/tree) order — the index's
+    /// only copy of the vectors, read by candidate verification and
+    /// addressed by id through the maps. Holds the rows of
+    /// tombstoned-but-not-yet-compacted ids too; always in lockstep
     /// with the store row for row.
-    pub(crate) data: Arc<Dataset>,
+    pub(crate) rows: Dataset,
     /// Internal↔external id maps; `None` while internal id == external
     /// id (identity-order builds that were never compacted).
     pub(crate) maps: Option<IdMaps>,
-    /// Dataset rows physically reordered into *internal* (store/tree)
-    /// order — what candidate verification reads. Present only when the
-    /// internal order differs from `data`'s own row order, i.e. on
-    /// locality-relabeled builds; compacted identity-order indexes keep
-    /// `data` itself in internal order and carry no copy.
-    pub(crate) verify_rows: Option<Dataset>,
-    /// SQ8 quantized codes of the rows in *internal* (verification)
-    /// order — the stage-1 pre-filter scans these before any f32 row is
-    /// touched. Kept in lockstep with [`DbLsh::verify_data`] through
-    /// insert/compact; the grid (per-dimension `min`/`step`) is learned
-    /// once at build and never re-learned, so pruning decisions — and
-    /// therefore the prefilter counters — are stable across churn,
-    /// compaction and save/load.
+    /// SQ8 quantized codes of `rows` — the stage-1 pre-filter scans
+    /// these before any f32 row is touched. Kept in lockstep with the
+    /// rows through insert/compact; the grid (per-dimension `min`/`step`)
+    /// is learned once at build and never re-learned, so pruning
+    /// decisions — and therefore the prefilter counters — are stable
+    /// across churn, compaction and save/load.
     pub(crate) sq8: Sq8Store,
     /// Tombstone bitset over *external* ids (1 = removed). Compaction
     /// drops the rows but keeps the bits: a dead id must answer
@@ -138,6 +133,11 @@ impl DbLsh {
     /// relabel of the rows (unless [`DbLshParams::relabel`] is off), then
     /// one bulk-loaded R*-tree per space (tree-parallel) over the store's
     /// column views.
+    ///
+    /// The index takes the rows over: a uniquely held `Arc` is unwrapped
+    /// (relabeled builds then rewrite the rows in internal order and drop
+    /// the original), a shared one is copied once, here. The caller's
+    /// handle is never retained, so no later write copies the dataset.
     ///
     /// Fails with [`DbLshError::EmptyDataset`] on an empty dataset and
     /// [`DbLshError::InvalidParameter`] on malformed parameters.
@@ -208,9 +208,9 @@ impl DbLsh {
         // bulk load is a contiguous run of row ids, and the other trees'
         // leaves (correlated through the shared Gaussian family) stay far
         // more local than insertion order. Both the projection rows and
-        // the verification rows are physically reordered so leaf scans
-        // and exact-distance verification read near-sequential memory.
-        let (maps, verify_rows) = if params.relabel {
+        // the dataset rows are laid out in that order so leaf scans and
+        // exact-distance verification read near-sequential memory.
+        let (maps, rows) = if params.relabel {
             let view0 = StridedCoords::new(&flat, width, 0, k);
             let perm = dblsh_index::str_order(&view0, &ids, params.node_capacity);
             let mut permuted = vec![0.0f32; flat.len()];
@@ -224,15 +224,20 @@ impl DbLsh {
                 int_of_ext[ext as usize] = int as u32;
             }
             let rows = data.reordered(&perm);
+            // A uniquely held original is freed before the trees are built.
+            drop(data);
             (
                 Some(IdMaps {
                     ext_of_int: perm,
                     int_of_ext,
                 }),
-                Some(rows),
+                rows,
             )
         } else {
-            (None, None)
+            (
+                None,
+                Arc::try_unwrap(data).unwrap_or_else(|shared| Dataset::clone(&shared)),
+            )
         };
         let store = ProjStore::from_flat(l, k, flat);
 
@@ -253,36 +258,34 @@ impl DbLsh {
 
         // Stage-1 pre-filter state: resolve the quantization grid
         // (injected or learned over the full dataset — order-independent
-        // either way), then encode the rows in *internal* order so the
-        // bound scan walks the same layout verification does.
+        // either way), then encode the rows as they lie so the bound
+        // scan walks the same layout verification does.
         let grid = match grid {
             Some(g) => {
-                if g.dim() != data.dim() {
+                if g.dim() != rows.dim() {
                     return Err(DbLshError::DimensionMismatch {
-                        expected: data.dim(),
+                        expected: rows.dim(),
                         got: g.dim(),
                     });
                 }
                 g
             }
-            None => Sq8Grid::learn(data.dim(), data.flat()),
+            None => Sq8Grid::learn(rows.dim(), rows.flat()),
         };
-        let sq8 = Sq8Store::build(grid, verify_rows.as_ref().map_or(data.flat(), |v| v.flat()));
+        let sq8 = Sq8Store::build(grid, rows.flat());
 
-        let live = data.len();
         Ok(DbLsh {
             params: params.clone(),
             hasher,
             // lint: allow(panic-free-surface) — thread::scope joined every tree builder, so each slot was written
             trees: trees.into_iter().map(|t| t.expect("tree built")).collect(),
             store,
-            data,
+            rows,
             maps,
-            verify_rows,
             sq8,
-            removed: vec![0; live.div_ceil(64)],
-            live,
-            ext_len: live,
+            removed: vec![0; n.div_ceil(64)],
+            live: n,
+            ext_len: n,
         })
     }
 
@@ -307,33 +310,19 @@ impl DbLsh {
         }
     }
 
-    /// The dataset rows in *internal* order — what candidate verification
-    /// reads. On relabeled indexes this is the physically reordered copy;
-    /// otherwise `data` itself (whose row order is internal order on
-    /// identity builds, compacted or not).
-    #[inline]
-    pub(crate) fn verify_data(&self) -> &Dataset {
-        match &self.verify_rows {
-            Some(rows) => rows,
-            None => &self.data,
-        }
-    }
-
     /// The parameters the index was built with.
     pub fn params(&self) -> &DbLshParams {
         &self.params
     }
 
-    /// The backing dataset, rows ascending by external id. Until the
-    /// first [`DbLsh::compact`] this means row `i` *is* the point with
-    /// id `i`, exactly as supplied at build time plus any
-    /// [`DbLsh::insert`]ed rows, with removed points' rows still present
-    /// (tombstoned, see [`DbLsh::contains`]). After a compaction the
-    /// dead rows are gone, so row indexes and ids diverge — use
-    /// [`DbLsh::point`] for id-addressed access. The locality-relabeled
-    /// internal layout is never observable here.
+    /// The index's rows in **physical** (internal) order: the one copy
+    /// of the vectors the index owns, laid out the way verification
+    /// scans it, with removed points' rows still present until the next
+    /// [`DbLsh::compact`]. Row `i` is the point with id `i` only on an
+    /// identity-order build that was never compacted — use
+    /// [`DbLsh::point`] for id-addressed access.
     pub fn data(&self) -> &Dataset {
-        &self.data
+        &self.rows
     }
 
     /// Borrow the point with external id `id`, or `None` if `id` does
@@ -343,13 +332,13 @@ impl DbLsh {
         if !self.contains(id) {
             return None;
         }
-        Some(self.verify_data().point(self.to_int(id) as usize))
+        Some(self.rows.point(self.to_int(id) as usize))
     }
 
-    /// Whether this index carries a locality-reordered verification copy
-    /// of its rows (see the module docs and [`DbLshParams::relabel`]).
+    /// Whether this index was built with the locality permutation (see
+    /// the module docs and [`DbLshParams::relabel`]).
     pub fn is_relabeled(&self) -> bool {
-        self.verify_rows.is_some()
+        self.params.relabel
     }
 
     /// The projection family.
@@ -410,24 +399,11 @@ impl DbLsh {
         self.removed[(id / 64) as usize] & (1u64 << (id % 64)) != 0
     }
 
-    /// Insert one point: append its row to the dataset and the projection
-    /// store, then insert the id into every tree (R\* insertion with
-    /// forced reinsertion). Returns the new point's id — its row index in
-    /// [`DbLsh::data`].
-    ///
-    /// If other `Arc` handles to the dataset are alive, the first insert
-    /// after a build clones the backing matrix (copy-on-write); handles
-    /// held by callers keep observing the pre-insert dataset.
+    /// Insert one point: append its row to the index's rows and the
+    /// projection store, then insert the id into every tree (R\*
+    /// insertion with forced reinsertion). Returns the new point's id —
+    /// [`DbLsh::id_bound`] before the call.
     pub fn insert(&mut self, point: &[f32]) -> Result<u32, DbLshError> {
-        if point.len() != self.data.dim() {
-            return Err(DbLshError::DimensionMismatch {
-                expected: self.data.dim(),
-                got: point.len(),
-            });
-        }
-        if !point.iter().all(|v| v.is_finite()) {
-            return Err(DbLshError::NonFiniteCoordinate);
-        }
         // DEAD (u32::MAX) is reserved as the dropped-row sentinel, so the
         // largest usable id is u32::MAX - 1.
         if self.ext_len >= u32::MAX as usize {
@@ -436,21 +412,16 @@ impl DbLsh {
             });
         }
         let id = self.ext_len as u32;
-        Arc::make_mut(&mut self.data).try_push(point)?;
         // The appended row is the largest external id and the newest
         // internal row at once, so it lands at the tail of every
-        // structure: external data (ascending by id), verification rows
-        // (internal order), store, and both maps.
-        if let Some(rows) = &mut self.verify_rows {
-            // The point was validated at the top of `insert`, so the
-            // push cannot fail — `?` spells that without a panic token.
-            rows.try_push(point)?;
-        }
-        // The new row is the internal tail, so its codes append in step
-        // with the verification order. The grid is NOT re-learned: a
-        // point outside the build-time range is flagged clamped and the
-        // pre-filter never prunes it (bound 0), keeping the bound
-        // conservative without perturbing existing codes.
+        // structure: rows, codes, store, and both maps. The push is the
+        // first mutation and validates dimensionality and finiteness, so
+        // a rejected point leaves the index untouched.
+        self.rows.try_push(point)?;
+        // The grid is NOT re-learned: a point outside the build-time
+        // range is flagged clamped and the pre-filter never prunes it
+        // (bound 0), keeping the bound conservative without perturbing
+        // existing codes.
         self.sq8.push(point);
         if let Some(m) = &mut self.maps {
             let internal = self.store.len() as u32;
@@ -517,10 +488,8 @@ impl DbLsh {
     /// the same candidate pool but not bit-equal early-exit points.)
     ///
     /// The relative internal order of the surviving rows is kept, so the
-    /// locality of a relabeled build survives compaction. A compacted
-    /// identity-order index keeps its single `data` copy as the
-    /// verification rows (its internal order stays ascending-by-id);
-    /// only genuinely relabeled builds carry a reordered copy.
+    /// locality of a relabeled build survives compaction, and every
+    /// structure is rewritten once, in that one order.
     ///
     /// No-op (and cheap) when there are no dead rows. Cost otherwise is
     /// `O(n)` copying plus the `L` parallel bulk loads — comparable to a
@@ -553,35 +522,19 @@ impl DbLsh {
         // prune decisions are byte-identical across a compaction.
         self.sq8 = self.sq8.retained(&keep);
 
-        // New projection rows and id maps, in one pass over `keep`.
+        // New projection rows, dataset rows and id maps, in one pass
+        // over `keep`.
+        let dim = self.rows.dim();
         let mut flat = Vec::with_capacity(live * width);
+        let mut rows = Vec::with_capacity(live * dim);
         let mut ext_of_int = Vec::with_capacity(live);
         let mut int_of_ext = vec![DEAD; self.ext_len];
         for (new_int, &old_int) in keep.iter().enumerate() {
             flat.extend_from_slice(self.store.row(old_int));
+            rows.extend_from_slice(self.rows.point(old_int as usize));
             let ext = self.to_ext(old_int);
             ext_of_int.push(ext);
             int_of_ext[ext as usize] = new_int as u32;
-        }
-
-        // New row payloads: the verification copy in internal (`keep`)
-        // order — only for relabeled builds — and the external dataset in
-        // ascending-id order. On an identity build those two orders
-        // coincide, so the single `data` copy serves both.
-        let verify_src = self.verify_data();
-        let dim = verify_src.dim();
-        let new_verify: Option<Dataset> = self.verify_rows.as_ref().map(|_| {
-            let mut rows = Vec::with_capacity(live * dim);
-            for &old_int in &keep {
-                rows.extend_from_slice(verify_src.point(old_int as usize));
-            }
-            Dataset::from_flat(dim, rows)
-        });
-        let mut by_ext = ext_of_int.clone();
-        by_ext.sort_unstable();
-        let mut ext_rows = Vec::with_capacity(live * dim);
-        for &ext in &by_ext {
-            ext_rows.extend_from_slice(verify_src.point(self.to_int(ext) as usize));
         }
 
         // Swap everything in, then rebuild the trees over the compacted
@@ -589,12 +542,11 @@ impl DbLsh {
         // bits of the dropped ids stay set — one bit per id is the
         // price of never recycling ids.
         self.store = ProjStore::from_flat(l, k, flat);
-        self.verify_rows = new_verify;
+        self.rows = Dataset::from_flat(dim, rows);
         self.maps = Some(IdMaps {
             ext_of_int,
             int_of_ext,
         });
-        self.data = Arc::new(Dataset::from_flat(dim, ext_rows));
         let ids: Vec<u32> = (0..live as u32).collect();
         let cap = self.params.node_capacity;
         let store = &self.store;
@@ -621,17 +573,16 @@ impl DbLsh {
     /// Verify cross-structure invariants: the store mirrors the dataset
     /// row for row, the id maps are mutually inverse over the physical
     /// rows (with every compacted-away id tombstoned and mapped to the
-    /// dead sentinel), the dataset rows ascend by external id and mirror
-    /// the verification rows, every tree holds exactly the live
-    /// (internal) ids, at exactly the coordinates the hasher assigns
-    /// them, and satisfies its own R\* invariants. Panics with a
+    /// dead sentinel), every tree holds exactly the live (internal) ids,
+    /// at exactly the coordinates the hasher assigns their rows, and
+    /// satisfies its own R\* invariants. Panics with a
     /// description on violation. Exposed for tests and debugging; cost
     /// is `O(L * n * (K * d + log n))`.
     pub fn check_invariants(&self) {
         let rows = self.store.len();
         assert_eq!(
             rows,
-            self.data.len(),
+            self.rows.len(),
             "projection store out of sync with dataset"
         );
         assert!(rows <= self.ext_len, "more rows than ids handed out");
@@ -659,35 +610,20 @@ impl DbLsh {
         } else {
             assert_eq!(self.ext_len, rows, "unmapped index must have dense ids");
         }
-        if let Some(v) = &self.verify_rows {
-            assert_eq!(v.len(), rows, "verification rows out of sync");
-        }
         assert_eq!(self.sq8.len(), rows, "sq8 code store out of sync");
         assert_eq!(
             self.sq8.grid().dim(),
-            self.data.dim(),
+            self.rows.dim(),
             "sq8 grid dimensionality out of step with the dataset"
         );
         // Codes must be encoded over the *internal* row order: re-encode
         // row 0 under the store's own grid and compare.
         if rows > 0 {
-            let probe = Sq8Store::build(self.sq8.grid().clone(), self.verify_data().point(0));
+            let probe = Sq8Store::build(self.sq8.grid().clone(), self.rows.point(0));
             assert_eq!(
                 probe.codes_row(0),
                 self.sq8.codes_row(0),
                 "sq8 codes do not encode the internal row order"
-            );
-        }
-        // `data` rows ascend by external id and mirror the verification
-        // rows through the maps.
-        let verify = self.verify_data();
-        let mut by_ext: Vec<u32> = (0..rows as u32).map(|int| self.to_ext(int)).collect();
-        by_ext.sort_unstable();
-        for (row, &ext) in by_ext.iter().enumerate() {
-            assert_eq!(
-                self.data.point(row),
-                verify.point(self.to_int(ext) as usize),
-                "external row {row} does not mirror id {ext}"
             );
         }
         let live_ids: Vec<u32> = {
@@ -699,7 +635,6 @@ impl DbLsh {
             v
         };
         assert_eq!(live_ids.len(), self.live, "live counter out of sync");
-        let verify = self.verify_data();
         let mut proj = vec![0.0f64; self.params.k];
         for (i, tree) in self.trees.iter().enumerate() {
             let view = self.store.view(i);
@@ -710,7 +645,7 @@ impl DbLsh {
             assert_eq!(ids, live_ids, "tree {i} does not hold exactly the live ids");
             for (id, coords) in tree.iter_points(&view) {
                 self.hasher
-                    .project_into(i, verify.point(id as usize), &mut proj);
+                    .project_into(i, self.rows.point(id as usize), &mut proj);
                 assert!(
                     coords.iter().zip(&proj).all(|(&c, &p)| c == p as f32),
                     "tree {i} stores internal id {id} at stale coordinates"

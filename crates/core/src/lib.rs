@@ -46,7 +46,7 @@
 //!     .build(data)            // Result: bad input is Err, never a panic
 //!     .expect("valid configuration");
 //!
-//! let query = index.data().point(0).to_vec();
+//! let query = index.point(0).expect("id 0 is live").to_vec();
 //! let top10 = index.k_ann(&query, 10).expect("well-formed query");
 //! assert!(!top10.neighbors.is_empty());
 //!

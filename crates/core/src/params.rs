@@ -34,12 +34,12 @@ pub struct DbLshParams {
     pub seed: u64,
     /// Locality-aware id relabeling at bulk build (default `true`): the
     /// index computes a locality-preserving permutation of the points
-    /// (tree-0 STR leaf order over the first projected space), physically
-    /// reorders its dataset and projection-store rows to match, and maps
+    /// (tree-0 STR leaf order over the first projected space), lays out
+    /// its dataset and projection-store rows in that order, and maps
     /// internal ids back to the caller's ids on every returned result.
-    /// Costs one extra copy of the raw vectors plus two `u32` maps; buys
-    /// near-sequential memory reads in leaf scans and candidate
-    /// verification. Query answers are byte-identical either way for
+    /// Costs two `u32` maps (8 B per row) and, at build, one rewrite of
+    /// the rows into the new order; buys near-sequential memory reads in
+    /// leaf scans and candidate verification. Query answers are byte-identical either way for
     /// datasets of distinct points; exact duplicate rows project to
     /// identical coordinates, and which duplicate's id is reported can
     /// depend on tie-breaking in the build order (the reported distances
@@ -136,7 +136,7 @@ impl DbLshParams {
     /// [`DbLshParams::relabel`]). Answers are byte-identical either way
     /// (up to duplicate-point tie-breaking — see [`DbLshParams::relabel`]);
     /// disabling trades query-time memory locality for a smaller build
-    /// footprint (no reordered dataset copy, no id maps).
+    /// footprint (rows taken over in place, no id maps).
     pub fn with_relabel(mut self, relabel: bool) -> Self {
         self.relabel = relabel;
         self

@@ -70,17 +70,20 @@ pub struct MemoryBreakdown {
     /// The `L` flat tree arenas: id arrays plus inline inner-node bounds.
     /// No point coordinates — those are counted in `proj_store_bytes`.
     pub tree_bytes: usize,
-    /// The id-mapping state: the two internal↔external `u32` maps plus
-    /// (on relabeled builds) the dataset rows physically reordered into
-    /// internal order for verification. Zero on identity-order builds
-    /// that were never compacted.
+    /// The id-mapping state: the two internal↔external `u32` maps —
+    /// 8 B per row on a relabeled build, plus 4 B per compacted-away id
+    /// after a compaction. Zero on identity-order builds that were never
+    /// compacted. (The rows themselves exist once, in internal order, and
+    /// are the dataset — no component here counts them.)
     pub relabel_bytes: usize,
     /// The SQ8 quantized code store the verification pre-filter scans:
     /// one `u8` code per coordinate plus one clamped-flag byte per row,
     /// plus the per-dimension grid — about a quarter of one f32 row copy.
     pub sq8_bytes: usize,
     /// What churn currently costs: the share of the store, the dataset
-    /// rows and the id maps occupied by *tombstoned* rows — payload a
+    /// rows, the SQ8 codes and the id maps occupied by *tombstoned* rows
+    /// (per dead row: one projection row, one `f32` row, one code row
+    /// and flag, two map entries on mapped indexes) — payload a
     /// [`crate::DbLsh::compact`] call would reclaim. An overlay over the
     /// other components (plus the backing dataset, which the breakdown
     /// otherwise does not count), **not** an additional component:
@@ -285,7 +288,7 @@ fn verify_block(
     stats: &mut QueryStats,
 ) {
     let started = if timing { Some(Instant::now()) } else { None };
-    let verify = index.verify_data();
+    let verify = &index.rows;
     match prune {
         Some(threshold) => {
             let (pruned, survived) = canonical_verify_keys_prefiltered(
@@ -385,7 +388,7 @@ impl DbLsh {
     /// within `c*r` with constant probability), or `None` for "no point
     /// within r" (case 2 of Definition 2).
     pub fn r_c_nn(&self, q: &[f32], r: f64) -> Result<(Option<Neighbor>, QueryStats), DbLshError> {
-        check_query(self.data.dim(), q, 1)?;
+        check_query(self.rows.dim(), q, 1)?;
         if !(r > 0.0 && r.is_finite()) {
             return Err(DbLshError::invalid(
                 "r",
@@ -451,7 +454,7 @@ impl DbLsh {
         k: usize,
         opts: &SearchOptions,
     ) -> Result<SearchResult, DbLshError> {
-        check_query(self.data.dim(), q, k)?;
+        check_query(self.rows.dim(), q, k)?;
         let plan = opts.resolved(self, k)?;
         let mut res = with_scratch(self, q, |scratch| self.ladder_core(q, k, &plan, scratch));
         if opts.skip_stats {
@@ -569,7 +572,7 @@ impl DbLsh {
         opts: &SearchOptions,
     ) -> Result<Vec<SearchResult>, DbLshError> {
         let plan = opts.resolved(self, k)?;
-        let mut results = dblsh_data::parallel_search_batch(queries, self.data.dim(), k, |q| {
+        let mut results = dblsh_data::parallel_search_batch(queries, self.rows.dim(), k, |q| {
             Ok(with_scratch(self, q, |scratch| {
                 self.ladder_core(q, k, &plan, scratch)
             }))
@@ -583,7 +586,9 @@ impl DbLsh {
     }
 
     /// Total heap footprint of the index structures: the shared
-    /// projection store plus the `L` flat R*-tree arenas. See
+    /// projection store, the `L` flat R*-tree arenas, the id maps and
+    /// the SQ8 codes — everything the index holds *beyond* its one copy
+    /// of the dataset rows, which is not counted. See
     /// [`DbLsh::memory_breakdown`] for the per-component split.
     pub fn memory_bytes(&self) -> usize {
         self.memory_breakdown().total()
@@ -592,33 +597,28 @@ impl DbLsh {
     /// Per-component heap footprint: the one shared [`crate::ProjStore`]
     /// (all `n x (L*K)` projected coordinates), the `L` id-only tree
     /// arenas (node structure and inline inner bounds, no coordinates),
-    /// the id-mapping state (maps + any reordered verification rows),
+    /// the id-mapping state (the two `u32` maps), the SQ8 code store,
     /// and — as an overlay — the `dead_bytes` that tombstoned rows
     /// currently pin across the store, the dataset rows and the maps.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         let dead = self.dead_rows();
-        let dim = self.data.dim();
-        // Per dead row: its projection row, its external dataset row,
-        // its verification-copy row (relabeled builds only), and its two
+        let dim = self.rows.dim();
+        // Per dead row: its projection row, its dataset row, and its two
         // u32 map entries (mapped indexes only). Logical (len-based)
         // size, like every other figure here.
         let per_dead_row = self.store.row_width() * std::mem::size_of::<f32>()
-            + dim * std::mem::size_of::<f32>() * (1 + usize::from(self.verify_rows.is_some()))
+            + dim * std::mem::size_of::<f32>()
             + 2 * std::mem::size_of::<u32>() * usize::from(self.maps.is_some())
             + dim * std::mem::size_of::<u8>() // sq8 code row
             + 1; // sq8 clamped flag
         MemoryBreakdown {
             proj_store_bytes: self.store.memory_bytes(),
             tree_bytes: self.trees.iter().map(|t| t.approx_memory()).sum(),
-            // Logical (len-based) size throughout, so the id maps and the
-            // row copy are accounted on one basis; Vec growth slack after
-            // heavy insert traffic is deliberately excluded.
+            // Logical (len-based) size; Vec growth slack after heavy
+            // insert traffic is deliberately excluded.
             relabel_bytes: self.maps.as_ref().map_or(0, |m| {
                 (m.ext_of_int.len() + m.int_of_ext.len()) * std::mem::size_of::<u32>()
-            }) + self
-                .verify_rows
-                .as_ref()
-                .map_or(0, |v| std::mem::size_of_val(v.flat())),
+            }),
             sq8_bytes: self.sq8.memory_bytes(),
             dead_bytes: dead * per_dead_row,
         }
@@ -647,7 +647,7 @@ impl DbLsh {
         /// the early-termination test (whose `d_k` is frozen during one
         /// drain) lags by at most one block.
         const INCR_BLOCK: usize = 16;
-        check_query(self.data.dim(), q, k)?;
+        check_query(self.rows.dim(), q, k)?;
         let live = self.len();
         Ok(with_scratch(self, q, |scratch| {
             let kdim = self.params.k;
@@ -873,7 +873,7 @@ impl<'a> LadderProber<'a> {
             return;
         }
         let started = if timing { Some(Instant::now()) } else { None };
-        let verify = self.index.verify_data();
+        let verify = &self.index.rows;
         match prune {
             Some(threshold) => {
                 let (pruned, survived) = canonical_verify_keys_prefiltered(
@@ -936,7 +936,7 @@ impl<'a> LadderProber<'a> {
             return;
         }
         let started = if timing { Some(Instant::now()) } else { None };
-        let verify = self.index.verify_data();
+        let verify = &self.index.rows;
         match prune {
             Some(threshold) => {
                 let mut split = VerifySplit::default();
@@ -1145,7 +1145,7 @@ impl DbLsh {
         q: &'a [f32],
         scratch: &'a mut ProberScratch,
     ) -> Result<LadderProber<'a>, DbLshError> {
-        check_query(self.data.dim(), q, 1)?;
+        check_query(self.rows.dim(), q, 1)?;
         // Internal-id domain: physical store rows.
         scratch.visited.reset(self.store.len());
         let (l, k) = (self.params.l, self.params.k);
@@ -1194,7 +1194,7 @@ impl DbLsh {
         k: usize,
         opts: &SearchOptions,
     ) -> Result<SearchResult, DbLshError> {
-        check_query(self.data.dim(), q, k)?;
+        check_query(self.rows.dim(), q, k)?;
         let plan = opts.resolved(self, k)?;
         let mut res = with_canonical_scratch(|scratch| self.canonical_core(q, k, &plan, scratch))?;
         if opts.skip_stats {
@@ -1240,7 +1240,7 @@ impl DbLsh {
         opts: &SearchOptions,
         trace: &mut QueryTrace,
     ) -> Result<SearchResult, DbLshError> {
-        check_query(self.data.dim(), q, k)?;
+        check_query(self.rows.dim(), q, k)?;
         let plan = opts.resolved(self, k)?;
         let mut res = with_canonical_scratch(|scratch| {
             self.canonical_core_traced(q, k, &plan, scratch, trace)
@@ -1771,7 +1771,7 @@ mod tests {
                     }
                     stats.index_probes += 1;
                     if !std::mem::replace(&mut seen[id as usize], true) {
-                        let d2 = sq_dist(q, idx.verify_data().point(id as usize));
+                        let d2 = sq_dist(q, idx.rows.point(id as usize));
                         keys.push(((d2.to_bits() as u64) << 32) | idx.to_ext(id) as u64);
                     }
                 }

@@ -9,9 +9,9 @@
 //! * the parameters (the Gaussian family is *rebuilt* from its seed —
 //!   projections are deterministic in it, so the matrix itself never
 //!   hits disk);
-//! * the dataset rows (ascending by external id — the only copy; the
-//!   relabeled verification order is *rebuilt* by permuting these rows
-//!   through the id maps);
+//! * the dataset rows, exactly as the index holds them — once, in
+//!   internal order — so a load reads them into place with no permute
+//!   (see "Row layouts" below for the older ascending-by-id section);
 //! * the projection store, bit-exact (recomputing it would cost the
 //!   full `n x L x K x d` projection pass of a build — the single most
 //!   expensive build phase);
@@ -24,6 +24,16 @@
 //!   save/load, while classic-mode leaf boundaries may legitimately
 //!   move (same candidate pools, different batch cut points).
 //!
+//! # Row layouts
+//!
+//! This build writes the rows under the `ROWS` tag, in internal order.
+//! Snapshots written before the index owned a single row copy carry
+//! them under `DATA`, ascending by external id, plus a `META` flag
+//! saying whether the internal order differs; such a file still loads —
+//! its rows are permuted into internal order once, through the id maps
+//! — and re-saves in the current layout. The two are told apart by
+//! which section the file holds.
+//!
 //! # Error discipline
 //!
 //! Loading shares `read_dim_header`'s strictness: every way a file can
@@ -35,7 +45,6 @@
 
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::Arc;
 
 use dblsh_data::io::{SectionBuf, SnapshotReader, SnapshotWriter};
 use dblsh_data::{Dataset, DbLshError, Sq8Grid, Sq8Store};
@@ -51,6 +60,10 @@ pub const INDEX_SNAPSHOT_KIND: [u8; 4] = *b"INDX";
 
 const TAG_PARAMS: [u8; 4] = *b"PRMS";
 const TAG_META: [u8; 4] = *b"META";
+/// The dataset rows in internal order (the current layout).
+const TAG_ROWS: [u8; 4] = *b"ROWS";
+/// The dataset rows ascending by external id (read-only compatibility;
+/// see the module docs, "Row layouts").
 const TAG_DATA: [u8; 4] = *b"DATA";
 const TAG_PROJ: [u8; 4] = *b"PROJ";
 const TAG_MAPS: [u8; 4] = *b"MAPS";
@@ -99,17 +112,16 @@ impl DbLsh {
 
         let rows = self.store.len();
         let mut meta = SectionBuf::new();
-        meta.put_u64(self.data.dim() as u64);
+        meta.put_u64(self.rows.dim() as u64);
         meta.put_u64(rows as u64);
         meta.put_u64(self.ext_len as u64);
         meta.put_u64(self.len() as u64);
         meta.put_u8(u8::from(self.maps.is_some()));
-        meta.put_u8(u8::from(self.verify_rows.is_some()));
         w.section(TAG_META, meta);
 
         let mut data = SectionBuf::new();
-        data.put_f32_slice(self.data.flat());
-        w.section(TAG_DATA, data);
+        data.put_f32_slice(self.rows.flat());
+        w.section(TAG_ROWS, data);
 
         let mut proj = SectionBuf::new();
         for id in 0..rows as u32 {
@@ -179,7 +191,11 @@ impl DbLsh {
         let ext_len = meta.get_len()?;
         let live = meta.get_len()?;
         let has_maps = meta.get_u8()? != 0;
-        let has_verify = meta.get_u8()? != 0;
+        // An older snapshot (module docs, "Row layouts") stores its rows
+        // ascending by external id and flags whether that differs from
+        // the internal order.
+        let by_ext_id = snap.has_section(TAG_DATA);
+        let permuted = by_ext_id && meta.get_u8()? != 0;
         meta.finish()?;
         if dim == 0 {
             return Err(corrupt("zero dimensionality"));
@@ -192,17 +208,17 @@ impl DbLsh {
                 "inconsistent counts: rows {rows}, live {live}, id bound {ext_len}"
             )));
         }
-        if has_verify && !has_maps {
+        if permuted && !has_maps {
             return Err(corrupt("verification order flagged without id maps"));
         }
 
-        let mut data_sec = snap.section(TAG_DATA)?;
+        let mut data_sec = snap.section(if by_ext_id { TAG_DATA } else { TAG_ROWS })?;
         let flat = data_sec.get_f32_vec(
             rows.checked_mul(dim)
                 .ok_or_else(|| corrupt("dataset size overflows"))?,
         )?;
         data_sec.finish()?;
-        let data = Dataset::try_from_flat(dim, flat)
+        let mut data = Dataset::try_from_flat(dim, flat)
             .map_err(|e| corrupt(format!("dataset section invalid: {e}")))?;
 
         let width = params
@@ -295,48 +311,31 @@ impl DbLsh {
             if present != rows {
                 return Err(corrupt("id maps name a different number of rows"));
             }
-            // Without a verification copy, `data`'s own row order must BE
-            // the internal order (the compacted-identity invariant) — the
-            // maps must be ascending, or verification would silently read
-            // the wrong rows.
-            if !has_verify && !m.ext_of_int.windows(2).all(|w| w[0] < w[1]) {
+            if permuted {
+                // Ascending-by-id rows into internal order: the rank of
+                // an id among the present ids is its row in the section.
+                let mut order = vec![0u32; rows];
+                let present = m.int_of_ext.iter().filter(|&&int| int != DEAD);
+                for (rank, &int) in present.enumerate() {
+                    order[int as usize] = rank as u32;
+                }
+                data = data.reordered(&order);
+            } else if by_ext_id && !m.ext_of_int.windows(2).all(|w| w[0] < w[1]) {
+                // Unflagged, the ascending-by-id order must BE the
+                // internal order — or verification would silently read
+                // the wrong rows.
                 return Err(corrupt(
                     "id maps are not ascending but no verification order is stored",
                 ));
             }
         }
-
-        // Rebuild the relabeled verification order, when flagged, by
-        // permuting the ascending-by-id dataset rows through the maps
-        // (rank of an id among the present ids = its `data` row).
         let to_ext = |int: u32| maps.as_ref().map_or(int, |m| m.ext_of_int[int as usize]);
-        let verify_rows = if has_verify {
-            let Some(m) = maps.as_ref() else {
-                return Err(DbLshError::corrupt(
-                    "snapshot flags a verification order but carries no id maps",
-                ));
-            };
-            let mut by_ext = m.ext_of_int.clone();
-            by_ext.sort_unstable();
-            let mut rank_of = vec![DEAD; ext_len];
-            for (rank, &ext) in by_ext.iter().enumerate() {
-                rank_of[ext as usize] = rank as u32;
-            }
-            let mut rows_flat = Vec::with_capacity(rows * dim);
-            for &ext in &m.ext_of_int {
-                rows_flat.extend_from_slice(data.point(rank_of[ext as usize] as usize));
-            }
-            Some(Dataset::from_flat(dim, rows_flat))
-        } else {
-            None
-        };
 
         // SQ8 pre-filter: restore the grid when the snapshot carries one
         // (it must, for prune decisions to survive a save/load of an
         // index whose data outgrew the build-time range); learn it from
         // the restored rows otherwise (pre-SQ8 snapshots). Codes are
-        // always rebuilt — over the *internal* row order verification
-        // reads.
+        // always rebuilt, over the rows as they now lie.
         let grid = if snap.has_section(TAG_SQ8G) {
             let mut sq8_sec = snap.section(TAG_SQ8G)?;
             let min = sq8_sec.get_f32_vec(dim)?;
@@ -346,7 +345,7 @@ impl DbLsh {
         } else {
             Sq8Grid::learn(dim, data.flat())
         };
-        let sq8 = Sq8Store::build(grid, verify_rows.as_ref().map_or(data.flat(), |v| v.flat()));
+        let sq8 = Sq8Store::build(grid, data.flat());
 
         // Rebuild the hasher (deterministic in the seed) and the trees
         // over the *live* internal ids (tombstoned rows stay out of the
@@ -385,9 +384,8 @@ impl DbLsh {
             // lint: allow(panic-free-surface) — thread::scope joined every tree builder, so each slot was written
             trees: trees.into_iter().map(|t| t.expect("tree built")).collect(),
             store,
-            data: Arc::new(data),
+            rows: data,
             maps,
-            verify_rows,
             sq8,
             removed,
             live,
@@ -406,6 +404,7 @@ impl DbLsh {
 mod tests {
     use super::*;
     use dblsh_data::synthetic::{gaussian_mixture, MixtureConfig};
+    use std::sync::Arc;
 
     fn small() -> Arc<Dataset> {
         Arc::new(gaussian_mixture(&MixtureConfig {
@@ -440,6 +439,10 @@ mod tests {
             assert_eq!(loaded.params(), idx.params());
             assert_eq!(loaded.data().flat(), idx.data().flat());
             assert!(!loaded.contains(7));
+            // rows are read into place, so a re-save reproduces the file
+            let mut again = Vec::new();
+            loaded.save(&mut again).unwrap();
+            assert_eq!(again, bytes, "relabel={relabel}");
             let q = idx.data().point(3);
             let a = idx
                 .search_canonical(q, 10, &crate::SearchOptions::default())
@@ -479,9 +482,11 @@ mod tests {
         assert_eq!(a.stats, b.stats);
     }
 
-    /// A snapshot exactly as the pre-SQ8 format wrote it: every section
-    /// of [`DbLsh::save`] except `SQ8G`.
-    fn save_without_sq8(idx: &DbLsh) -> Vec<u8> {
+    /// A snapshot exactly as the build before the single row copy wrote
+    /// it: rows ascending by external id under `DATA`, with the `META`
+    /// flag for "internal order differs". `with_grid` off also leaves
+    /// out `SQ8G`, as the pre-SQ8 format did.
+    fn save_parent_format(idx: &DbLsh, with_grid: bool) -> Vec<u8> {
         let mut w = SnapshotWriter::new(INDEX_SNAPSHOT_KIND);
         let p = idx.params();
         let mut prms = SectionBuf::new();
@@ -498,15 +503,19 @@ mod tests {
         w.section(TAG_PARAMS, prms);
         let rows = idx.store.len();
         let mut meta = SectionBuf::new();
-        meta.put_u64(idx.data.dim() as u64);
+        meta.put_u64(idx.rows.dim() as u64);
         meta.put_u64(rows as u64);
         meta.put_u64(idx.ext_len as u64);
         meta.put_u64(idx.len() as u64);
         meta.put_u8(u8::from(idx.maps.is_some()));
-        meta.put_u8(u8::from(idx.verify_rows.is_some()));
+        meta.put_u8(u8::from(idx.is_relabeled()));
         w.section(TAG_META, meta);
+        let mut by_ext: Vec<u32> = (0..rows as u32).map(|int| idx.to_ext(int)).collect();
+        by_ext.sort_unstable();
         let mut data = SectionBuf::new();
-        data.put_f32_slice(idx.data.flat());
+        for &ext in &by_ext {
+            data.put_f32_slice(idx.rows.point(idx.to_int(ext) as usize));
+        }
         w.section(TAG_DATA, data);
         let mut proj = SectionBuf::new();
         for id in 0..rows as u32 {
@@ -522,9 +531,59 @@ mod tests {
         let mut tomb = SectionBuf::new();
         tomb.put_u64_slice(&idx.removed);
         w.section(TAG_TOMB, tomb);
+        if with_grid {
+            let mut sq8 = SectionBuf::new();
+            sq8.put_f32_slice(idx.sq8.grid().min());
+            sq8.put_f32_slice(idx.sq8.grid().step());
+            w.section(TAG_SQ8G, sq8);
+        }
         let mut bytes = Vec::new();
         w.write_to(&mut bytes).unwrap();
         bytes
+    }
+
+    #[test]
+    fn parent_format_snapshots_load_and_resave_in_the_new_layout() {
+        for (relabel, compact) in [(true, false), (false, false), (true, true), (false, true)] {
+            let what = format!("relabel={relabel}, compact={compact}");
+            let mut idx = build(relabel);
+            for id in (0..400u32).step_by(3) {
+                idx.remove(id).unwrap();
+            }
+            idx.insert(&[0.25; 12]).unwrap();
+            if compact {
+                idx.compact();
+            }
+            let old = save_parent_format(&idx, true);
+            let mut new = Vec::new();
+            idx.save(&mut new).unwrap();
+            assert_ne!(old, new, "{what}");
+
+            let loaded = DbLsh::load(&old[..]).unwrap();
+            loaded.check_invariants();
+            assert_eq!(loaded.is_relabeled(), relabel, "{what}");
+            assert_eq!(loaded.data().flat(), idx.data().flat(), "{what}");
+            // Trees are rebuilt on load, so classic mode is compared with
+            // a load of the writer's own new-layout bytes (same rebuild);
+            // canonical mode with the writer itself.
+            let twin = DbLsh::load(&new[..]).unwrap();
+            let opts = crate::SearchOptions::default();
+            for id in [1u32, 100, 400] {
+                let q = idx.point(id).unwrap();
+                let a = idx.search_canonical(q, 10, &opts).unwrap();
+                let b = loaded.search_canonical(q, 10, &opts).unwrap();
+                assert_eq!(a.neighbors, b.neighbors, "{what}, query {id}");
+                assert_eq!(a.stats, b.stats, "{what}, query {id}");
+                let a = twin.k_ann(q, 10).unwrap();
+                let b = loaded.k_ann(q, 10).unwrap();
+                assert_eq!(a.neighbors, b.neighbors, "{what}, query {id}");
+                assert_eq!(a.stats, b.stats, "{what}, query {id}");
+            }
+
+            let mut resaved = Vec::new();
+            loaded.save(&mut resaved).unwrap();
+            assert_eq!(resaved, new, "{what}: re-save must be the new layout");
+        }
     }
 
     #[test]
@@ -535,7 +594,7 @@ mod tests {
         // so even the prefilter counters match.
         for relabel in [true, false] {
             let idx = build(relabel);
-            let bytes = save_without_sq8(&idx);
+            let bytes = save_parent_format(&idx, false);
             let loaded = DbLsh::load(&bytes[..]).unwrap();
             loaded.check_invariants();
             let q = idx.data().point(3);

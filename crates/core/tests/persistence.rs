@@ -8,7 +8,8 @@
 //!   compactions.
 //! * **Snapshot round trip**: `save` → `load` restores an index that
 //!   answers byte-identically in canonical mode, with all dynamic state
-//!   (tombstones, id bound, live count) intact.
+//!   (tombstones, id bound, live count) intact, and that saves back to
+//!   the same bytes.
 //! * **Corruption safety**: truncated or bit-flipped snapshot bytes
 //!   yield typed [`DbLshError`]s — never panics, never a silently wrong
 //!   index.
@@ -150,6 +151,10 @@ proptest! {
         idx.save(&mut bytes).unwrap();
         let mut loaded = DbLsh::load(&bytes[..]).unwrap();
         loaded.check_invariants();
+        // rows, store and maps are read into place: a re-save is the file
+        let mut again = Vec::new();
+        loaded.save(&mut again).unwrap();
+        prop_assert_eq!(&again, &bytes, "save -> load -> save changed the bytes");
         prop_assert_eq!(loaded.len(), idx.len());
         prop_assert_eq!(loaded.id_bound(), idx.id_bound());
         prop_assert_eq!(loaded.dead_rows(), idx.dead_rows());

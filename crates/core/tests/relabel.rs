@@ -76,8 +76,11 @@ proptest! {
         prop_assert!(!identity.is_relabeled());
         relabeled.check_invariants();
 
-        // the external dataset view is the caller's row order either way
-        prop_assert_eq!(relabeled.data().flat(), identity.data().flat());
+        // id-addressed access is the caller's row order either way
+        for id in 0..n as u32 {
+            prop_assert_eq!(relabeled.point(id), Some(data.point(id as usize)));
+            prop_assert_eq!(identity.point(id), Some(data.point(id as usize)));
+        }
 
         let q = data.point(qi % n).to_vec();
         assert_same_answers(&relabeled, &identity, &q, k);

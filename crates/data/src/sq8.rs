@@ -123,7 +123,7 @@ impl Sq8Grid {
 /// SQ8 code store: one `u8` per dimension per row plus a per-row flag marking
 /// rows whose encoding clamped (their lower bound is forced to `0.0`).
 ///
-/// Rows are kept in the same internal order as the verification rows of the
+/// Rows are kept in the same internal order as the dataset rows of the
 /// owning index, so candidate ids address codes directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sq8Store {

@@ -27,7 +27,7 @@
 //!     .auto_r_min()        // estimate the radius-ladder start from data
 //!     .build(data)?;
 //!
-//! let query = index.data().point(0).to_vec();
+//! let query = index.point(0).expect("id 0 is live").to_vec();
 //! let top10 = index.k_ann(&query, 10)?;
 //! assert_eq!(top10.neighbors[0].id, 0); // the point itself
 //! # Ok::<(), DbLshError>(())
