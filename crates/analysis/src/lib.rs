@@ -3,10 +3,10 @@
 //! The repo's correctness story rests on structural contracts that exist
 //! as prose: SAFETY justifications on `unsafe`, a panic-free serving
 //! surface, documented atomic orderings, the router/shard lock
-//! hierarchy, full wire-opcode coverage, and traced/untraced query paths
-//! that must never drift. This crate machine-checks all six — a std-only
-//! binary with a hand-rolled Rust lexer, a structured-findings framework
-//! (human and JSON renderers), inline suppressions
+//! hierarchy, and full wire-opcode coverage. This crate machine-checks
+//! all five — a std-only binary with a hand-rolled Rust lexer, a
+//! structured-findings framework (human and JSON renderers), inline
+//! suppressions
 //! (`// lint: allow(<rule>) — <reason>`), and a committed baseline file
 //! so pre-existing debt is inventoried rather than ignored.
 //!

@@ -32,8 +32,6 @@ RULES:
                          replica-write→replica-slot hierarchy has no inversions
     wire-exhaustiveness  every proto.rs opcode is encoded, decoded,
                          dispatched by the server and reachable from the client
-    trace-parity-drift   every `fn x_traced` matches its `fn x` token-for-token
-                         modulo trace plumbing
 
 SUPPRESSIONS:
     // lint: allow(<rule>) — <reason>

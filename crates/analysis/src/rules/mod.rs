@@ -4,7 +4,6 @@
 
 pub mod lock_order;
 pub mod simple;
-pub mod trace_parity;
 pub mod wire;
 
 use crate::findings::Finding;
@@ -17,7 +16,6 @@ pub const RULE_IDS: &[&str] = &[
     simple::ATOMIC_ORDERING,
     lock_order::LOCK_ORDER,
     wire::WIRE_EXHAUSTIVENESS,
-    trace_parity::TRACE_PARITY,
 ];
 
 /// Run every rule (or the `only` subset) over the workspace.
@@ -38,9 +36,6 @@ pub fn run_all(ws: &Workspace, only: &[String]) -> Vec<Finding> {
     }
     if enabled(wire::WIRE_EXHAUSTIVENESS) {
         wire::check(ws, &mut out);
-    }
-    if enabled(trace_parity::TRACE_PARITY) {
-        trace_parity::check(ws, &mut out);
     }
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     out

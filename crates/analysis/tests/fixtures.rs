@@ -6,7 +6,7 @@
 //! they would see real sources.
 
 use dblsh_analyze::findings::Finding;
-use dblsh_analyze::rules::{lock_order, simple, trace_parity, wire};
+use dblsh_analyze::rules::{lock_order, simple, wire};
 use dblsh_analyze::source::SourceFile;
 use dblsh_analyze::workspace::Workspace;
 
@@ -141,38 +141,6 @@ fn wire_fixtures() {
     let mut ok = Vec::new();
     wire::check(
         &ws_of(file_as("crates/net/src/proto.rs", "wire_ok.rs")),
-        &mut ok,
-    );
-    assert!(ok.is_empty(), "ok fixture: {}", messages(&ok));
-}
-
-#[test]
-fn trace_parity_fixtures() {
-    let mut bad = Vec::new();
-    trace_parity::check(
-        &ws_of(file_as("crates/core/src/fixture.rs", "trace_parity_bad.rs")),
-        &mut bad,
-    );
-    assert_eq!(bad.len(), 1, "bad fixture: {}", messages(&bad));
-
-    let mut orphan = Vec::new();
-    trace_parity::check(
-        &ws_of(file_as(
-            "crates/core/src/fixture.rs",
-            "trace_parity_orphan.rs",
-        )),
-        &mut orphan,
-    );
-    assert_eq!(orphan.len(), 1, "orphan fixture: {}", messages(&orphan));
-    assert!(
-        orphan[0].message.contains("no untraced sibling"),
-        "{}",
-        orphan[0].message
-    );
-
-    let mut ok = Vec::new();
-    trace_parity::check(
-        &ws_of(file_as("crates/core/src/fixture.rs", "trace_parity_ok.rs")),
         &mut ok,
     );
     assert!(ok.is_empty(), "ok fixture: {}", messages(&ok));

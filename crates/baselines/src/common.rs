@@ -170,6 +170,7 @@ impl<'d> Verifier<'d> {
                     &mut self.survivors,
                     &mut self.keys,
                     |id| id,
+                    None,
                 );
                 self.stats.prefilter_pruned += pruned;
                 self.stats.prefilter_survivors += survived;

@@ -18,10 +18,17 @@
 //!   (`r = 1, c, c^2, ...` in the paper).
 //!
 //! Per-query heap churn is eliminated with a thread-local
-//! [`QueryScratch`]: the visited bitset, the `L x K` projection buffer
-//! and the candidate-block buffers are reused across queries on the same
-//! thread (the bitset is cleared sparsely — only words actually touched
-//! are zeroed).
+//! [`ProberScratch`] shared by every mode: the visited bitset, the
+//! `L x K` projection buffer, the window-probe state and the
+//! candidate-block buffers are reused across queries on the same thread
+//! (the bitset is cleared sparsely — only words actually touched are
+//! zeroed).
+//!
+//! There is one query path: every mode obtains a [`LadderProber`], walks
+//! its windows leaf batch by leaf batch and verifies fresh candidates
+//! through one stage; the ladder modes leave Algorithm 1's stop rules to
+//! [`CanonicalLadder`]. Tracing is an `Option<&mut QueryTrace>` argument
+//! of that path, and the clock is read only when it is `Some`.
 //!
 //! # Blocked verification
 //!
@@ -47,14 +54,13 @@ use std::time::Instant;
 
 use dblsh_data::error::check_query;
 use dblsh_data::kernels::{
-    canonical_verify_keys, canonical_verify_keys_prefiltered,
-    canonical_verify_keys_prefiltered_traced, key_parts, VerifySplit,
+    canonical_verify_keys, canonical_verify_keys_prefiltered, key_parts, VerifySplit,
 };
 use dblsh_data::{
     push_candidate_unchecked, AnnIndex, Dataset, DbLshError, Neighbor, QueryStats, SearchResult,
     Sq8Query, Visited,
 };
-use dblsh_index::{Rect, WindowScratch};
+use dblsh_index::WindowScratch;
 use dblsh_telemetry::{QueryTrace, Stage};
 
 use crate::index::DbLsh;
@@ -137,12 +143,11 @@ pub struct SearchOptions {
     /// [`DbLsh::r_c_nn`] and incremental modes always verify exactly.
     pub prefilter: bool,
     /// When `true`, request per-stage tracing for this query. The core
-    /// search paths themselves never read the flag — tracing goes through
-    /// the dedicated traced entry points
-    /// ([`DbLsh::search_canonical_traced`],
-    /// [`LadderProber::probe_round_traced`]), so the untraced hot path
-    /// stays free of clock reads — but the serving engine and the wire
-    /// protocol carry it per request to decide whether to record a
+    /// search paths never read the flag — a trace is the
+    /// `Option<&mut QueryTrace>` argument of [`DbLsh::ladder_prober`] and
+    /// [`LadderProber::probe_round`], and the clock is read only when it
+    /// is `Some` — but the serving engine and the wire protocol carry the
+    /// flag per request to decide whether to record a
     /// [`dblsh_telemetry::QueryTrace`] into the per-stage latency
     /// histograms and the slow-query log. Answers and [`QueryStats`] are
     /// byte-identical with the flag on or off.
@@ -214,172 +219,6 @@ impl SearchOptions {
             prefilter: self.prefilter,
         })
     }
-
-    /// Validate the overrides against the index parameters.
-    fn resolved(&self, index: &DbLsh, k: usize) -> Result<LadderPlan, DbLshError> {
-        self.plan(&index.params, k)
-    }
-}
-
-/// Reusable per-thread query state: the (sparse-clearing)
-/// [`Visited`] bitset, the `L x K` query projection buffer and the
-/// candidate-block buffers of the blocked verification stage.
-struct QueryScratch {
-    visited: Visited,
-    /// Flat `[l][k]` projections of the current query.
-    qproj: Vec<f64>,
-    /// Fresh (unvisited) internal ids of the current candidate block.
-    block: Vec<u32>,
-    /// Squared distances of the block, parallel to `block`.
-    dists: Vec<f32>,
-    /// Canonical consumption keys: `(sq-dist bits << 32) | external id`.
-    keys: Vec<u64>,
-    /// Ids of the current block that survived the SQ8 pre-filter.
-    survivors: Vec<u32>,
-    /// Quantized-domain query state for the SQ8 bound scan.
-    prep: Sq8Query,
-}
-
-impl QueryScratch {
-    const fn new() -> Self {
-        QueryScratch {
-            visited: Visited::empty(),
-            qproj: Vec::new(),
-            block: Vec::new(),
-            dists: Vec::new(),
-            keys: Vec::new(),
-            survivors: Vec::new(),
-            prep: Sq8Query::empty(),
-        }
-    }
-
-    /// Filter one cursor batch against the visited set into `block`,
-    /// counting every batch id as an index probe. Returns `false` when
-    /// the whole batch was already visited (nothing fresh to verify).
-    fn collect_fresh(&mut self, batch: &[u32], stats: &mut QueryStats) -> bool {
-        stats.index_probes += batch.len();
-        self.block.clear();
-        for &id in batch {
-            if self.visited.insert(id) {
-                self.block.push(id);
-            }
-        }
-        !self.block.is_empty()
-    }
-}
-
-/// Verify the fresh candidates in `scratch.block` against `q` through
-/// the shared canonical staging: sort into memory order, optionally
-/// screen through the SQ8 pre-filter
-/// ([`dblsh_data::kernels::canonical_verify_keys_prefiltered`], when
-/// `prune` carries the current squared-distance threshold), fused
-/// distance kernel over the internal-order rows, canonical
-/// `(distance, external id)` consumption keys in `scratch.keys`.
-///
-/// Accumulates `verify_nanos` (when `timing` is set) and the prefilter
-/// counters into `stats`.
-#[inline]
-fn verify_block(
-    index: &DbLsh,
-    q: &[f32],
-    scratch: &mut QueryScratch,
-    timing: bool,
-    prune: Option<f32>,
-    stats: &mut QueryStats,
-) {
-    let started = if timing { Some(Instant::now()) } else { None };
-    let verify = &index.rows;
-    match prune {
-        Some(threshold) => {
-            let (pruned, survived) = canonical_verify_keys_prefiltered(
-                q,
-                verify.flat(),
-                verify.dim(),
-                &index.sq8,
-                &scratch.prep,
-                threshold,
-                &mut scratch.block,
-                &mut scratch.dists,
-                &mut scratch.survivors,
-                &mut scratch.keys,
-                |internal| index.to_ext(internal),
-            );
-            stats.prefilter_pruned += pruned;
-            stats.prefilter_survivors += survived;
-        }
-        None => canonical_verify_keys(
-            q,
-            verify.flat(),
-            verify.dim(),
-            &mut scratch.block,
-            &mut scratch.dists,
-            &mut scratch.keys,
-            |internal| index.to_ext(internal),
-        ),
-    }
-    if let Some(t) = started {
-        stats.verify_nanos += t.elapsed().as_nanos() as u64;
-    }
-}
-
-/// [`push_candidate_unchecked`] with a parallel mirror of the raw
-/// *squared* f32 distances — the prune-threshold source. The threshold
-/// must be the k-th squared distance exactly as the verify kernel
-/// produced it (not a re-squared `sqrt`), or the bound comparison would
-/// not be conservative.
-#[inline]
-fn push_candidate_with_sq(
-    top: &mut Vec<Neighbor>,
-    top_sq: &mut Vec<f32>,
-    cand: Neighbor,
-    d2: f32,
-    k: usize,
-) {
-    let pos = top.partition_point(|n| n.dist <= cand.dist);
-    if pos >= k {
-        return;
-    }
-    top.insert(pos, cand);
-    top_sq.insert(pos, d2);
-    top.truncate(k);
-    top_sq.truncate(k);
-}
-
-thread_local! {
-    static SCRATCH: RefCell<QueryScratch> = const { RefCell::new(QueryScratch::new()) };
-}
-
-/// Borrow the thread's scratch, prepared for a query against `index`.
-fn with_scratch<T>(index: &DbLsh, q: &[f32], f: impl FnOnce(&mut QueryScratch) -> T) -> T {
-    SCRATCH.with(|cell| {
-        let mut scratch = match cell.try_borrow_mut() {
-            Ok(s) => s,
-            // A Drop impl re-entering the query path would hit this; fall
-            // back to a fresh scratch rather than panicking.
-            Err(_) => return f(&mut fresh_scratch(index, q)),
-        };
-        prepare_scratch(&mut scratch, index, q);
-        f(&mut scratch)
-    })
-}
-
-fn fresh_scratch(index: &DbLsh, q: &[f32]) -> QueryScratch {
-    let mut s = QueryScratch::new();
-    prepare_scratch(&mut s, index, q);
-    s
-}
-
-fn prepare_scratch(scratch: &mut QueryScratch, index: &DbLsh, q: &[f32]) {
-    // The visited domain is *internal* ids — physical store rows.
-    scratch.visited.reset(index.store.len());
-    let (l, k) = (index.params.l, index.params.k);
-    scratch.qproj.resize(l * k, 0.0);
-    for i in 0..l {
-        index
-            .hasher
-            .project_into(i, q, &mut scratch.qproj[i * k..(i + 1) * k]);
-    }
-    index.sq8.prepare_query(q, &mut scratch.prep);
 }
 
 impl DbLsh {
@@ -395,35 +234,30 @@ impl DbLsh {
                 "probe radius must be positive and finite",
             ));
         }
-        Ok(with_scratch(self, q, |scratch| {
-            let mut stats = QueryStats::default();
+        self.with_prober(q, |mut prober| {
+            let mut stats = QueryStats {
+                rounds: 1,
+                ..Default::default()
+            };
             let budget = self.params.rcnn_budget();
-            let k = self.params.k;
             let cr = self.params.c * r;
-            stats.rounds = 1;
-            for (i, tree) in self.trees.iter().enumerate() {
-                let view = self.store.view(i);
-                let qp = &scratch.qproj[i * k..(i + 1) * k];
-                let window = Rect::centered_cube(qp, self.params.w0 * r);
-                let mut cursor = tree.window(&view, &window);
-                while let Some(batch) = cursor.next_batch() {
-                    if !scratch.collect_fresh(batch, &mut stats) {
-                        continue;
-                    }
-                    // Always exact: a single probe has no evolving k-th
-                    // best to prune against.
-                    verify_block(self, q, scratch, false, None, &mut stats);
-                    for &key in &scratch.keys {
-                        stats.candidates += 1;
-                        let (id, d) = key_parts(key);
-                        if stats.candidates >= budget || d <= cr {
-                            return (Some(Neighbor { id, dist: d as f32 }), stats);
-                        }
+            let mut hit = None;
+            prober.for_each_batch(r, |fresh, batch| {
+                fresh.admit(batch, &mut stats);
+                // Always exact: a single probe has no evolving k-th best
+                // to prune against.
+                for &key in fresh.verify(self, q, false, None, &mut stats, |ext| ext, None) {
+                    stats.candidates += 1;
+                    let (id, d) = key_parts(key);
+                    if stats.candidates >= budget || d <= cr {
+                        hit = Some(Neighbor { id, dist: d as f32 });
+                        return true;
                     }
                 }
-            }
-            (None, stats)
-        }))
+                false
+            });
+            (hit, stats)
+        })
     }
 
     /// Algorithm 2: c-ANN by (r,c)-NN probes on the ladder
@@ -455,103 +289,35 @@ impl DbLsh {
         opts: &SearchOptions,
     ) -> Result<SearchResult, DbLshError> {
         check_query(self.rows.dim(), q, k)?;
-        let plan = opts.resolved(self, k)?;
-        let mut res = with_scratch(self, q, |scratch| self.ladder_core(q, k, &plan, scratch));
+        let plan = opts.plan(&self.params, k)?;
+        let mut res = self.with_prober(q, |prober| self.ladder_core(prober, k, &plan))?;
         if opts.skip_stats {
             res.stats = QueryStats::default();
         }
         Ok(res)
     }
 
-    fn ladder_core(
-        &self,
-        q: &[f32],
-        k: usize,
-        plan: &LadderPlan,
-        scratch: &mut QueryScratch,
-    ) -> SearchResult {
-        let LadderPlan {
-            budget,
-            r0,
-            max_rounds,
-            timing,
-            prefilter,
-        } = *plan;
-        let kdim = self.params.k;
-        let live = self.len();
+    /// The classic ladder: Algorithm 1's rules ([`CanonicalLadder`])
+    /// applied per leaf batch, in the trees' enumeration order, so the
+    /// scan stops mid-round the moment one fires.
+    fn ladder_core(&self, mut prober: LadderProber, k: usize, plan: &LadderPlan) -> SearchResult {
+        let q = prober.q;
+        let mut ladder = CanonicalLadder::new(plan, self.params.c, k, self.len());
         let mut stats = QueryStats::default();
-        let mut top: Vec<Neighbor> = Vec::with_capacity(k + 1);
-        // Mirror of `top`'s raw squared f32 distances (the verify
-        // kernel's native output) — the prefilter's prune threshold.
-        let mut top_sq: Vec<f32> = Vec::with_capacity(k + 1);
-
-        let mut r = r0;
-        let mut verified_total = 0usize;
-        'ladder: for _round in 0..max_rounds {
-            stats.rounds += 1;
-            let cr = self.params.c * r;
-            // Previously verified points may already satisfy the current
-            // radius (found "too early" in a smaller round).
-            if top.len() == k && top[k - 1].dist as f64 <= cr {
-                break 'ladder;
+        while let Some(r) = ladder.begin_round(&mut stats) {
+            let stopped = prober.for_each_batch(r, |fresh, batch| {
+                fresh.admit(batch, &mut stats);
+                // Threshold as of block start; see `probe_round` for why
+                // pruned candidates cannot change the top's trajectory.
+                let prune = plan.prefilter.then(|| ladder.prune_threshold());
+                let keys = fresh.verify(self, q, plan.timing, prune, &mut stats, |ext| ext, None);
+                ladder.offer(keys, &mut stats)
+            });
+            if !stopped {
+                ladder.end_round();
             }
-            for (i, tree) in self.trees.iter().enumerate() {
-                let view = self.store.view(i);
-                let qp = &scratch.qproj[i * kdim..(i + 1) * kdim];
-                let window = Rect::centered_cube(qp, self.params.w0 * r);
-                let mut cursor = tree.window(&view, &window);
-                while let Some(batch) = cursor.next_batch() {
-                    if !scratch.collect_fresh(batch, &mut stats) {
-                        continue;
-                    }
-                    // Prune threshold as of block start: the k-th best
-                    // squared distance (∞ while the top is not full — no
-                    // pruning until k candidates exist). Pruned
-                    // candidates still emit a canonical key carrying
-                    // their *bound*, which sorts strictly after every
-                    // key that could update the top, so the counters and
-                    // the top trajectory are byte-identical to the exact
-                    // path.
-                    let prune = prefilter.then(|| {
-                        if top.len() == k {
-                            top_sq[k - 1]
-                        } else {
-                            f32::INFINITY
-                        }
-                    });
-                    verify_block(self, q, scratch, timing, prune, &mut stats);
-                    // Line 6 of Algorithm 1, (c,k) variant, per candidate
-                    // in canonical (distance, external id) order:
-                    for &key in &scratch.keys {
-                        verified_total += 1;
-                        stats.candidates += 1;
-                        let (id, d) = key_parts(key);
-                        let d2 = f32::from_bits((key >> 32) as u32);
-                        push_candidate_with_sq(
-                            &mut top,
-                            &mut top_sq,
-                            Neighbor { id, dist: d as f32 },
-                            d2,
-                            k,
-                        );
-                        if verified_total >= budget
-                            || (top.len() == k && top[k - 1].dist as f64 <= cr)
-                        {
-                            break 'ladder;
-                        }
-                    }
-                }
-            }
-            if verified_total >= live {
-                break; // every live point verified; nothing left to find
-            }
-            r *= self.params.c;
         }
-
-        SearchResult {
-            neighbors: top,
-            stats,
-        }
+        ladder.into_result(stats)
     }
 
     /// Answer one (c,k)-ANN query per row of `queries`, fanning the rows
@@ -571,18 +337,9 @@ impl DbLsh {
         k: usize,
         opts: &SearchOptions,
     ) -> Result<Vec<SearchResult>, DbLshError> {
-        let plan = opts.resolved(self, k)?;
-        let mut results = dblsh_data::parallel_search_batch(queries, self.rows.dim(), k, |q| {
-            Ok(with_scratch(self, q, |scratch| {
-                self.ladder_core(q, k, &plan, scratch)
-            }))
-        })?;
-        if opts.skip_stats {
-            for r in &mut results {
-                r.stats = QueryStats::default();
-            }
-        }
-        Ok(results)
+        opts.plan(&self.params, k)?; // bad options fail even an empty batch
+        let search = |q: &[f32]| self.search_with(q, k, opts);
+        dblsh_data::parallel_search_batch(queries, self.rows.dim(), k, search)
     }
 
     /// Total heap footprint of the index structures: the shared
@@ -649,7 +406,8 @@ impl DbLsh {
         const INCR_BLOCK: usize = 16;
         check_query(self.rows.dim(), q, k)?;
         let live = self.len();
-        Ok(with_scratch(self, q, |scratch| {
+        self.with_prober(q, |prober| {
+            let ProberScratch { qproj, fresh, .. } = prober.scratch;
             let kdim = self.params.k;
             let mut stats = QueryStats {
                 rounds: 1,
@@ -665,7 +423,7 @@ impl DbLsh {
                 .iter()
                 .enumerate()
                 .map(|(i, t)| {
-                    t.nearest_iter(&views[i], &scratch.qproj[i * kdim..(i + 1) * kdim])
+                    t.nearest_iter(&views[i], &qproj[i * kdim..(i + 1) * kdim])
                         .peekable()
                 })
                 .collect();
@@ -674,14 +432,13 @@ impl DbLsh {
             'merge: loop {
                 // Drain phase: up to INCR_BLOCK fresh candidates in
                 // ascending projected distance across the L streams.
-                scratch.block.clear();
                 let dk = if top.len() == k {
                     top[k - 1].dist as f64
                 } else {
                     f64::INFINITY
                 };
                 let mut drained_dry = false;
-                while scratch.block.len() < INCR_BLOCK {
+                while fresh.block.len() < INCR_BLOCK {
                     // pick the stream whose head has the smallest
                     // projected distance
                     let mut best: Option<(f64, usize)> = None;
@@ -708,24 +465,18 @@ impl DbLsh {
                         drained_dry = true;
                         break;
                     };
-                    stats.index_probes += 1;
-                    if scratch.visited.insert(id) {
-                        scratch.block.push(id);
-                    }
+                    fresh.admit(&[id], &mut stats);
                 }
                 // Verify phase: blocked kernel, canonical consumption —
                 // always exact (the projected-distance early-termination
                 // test needs every drained candidate's true distance).
-                if !scratch.block.is_empty() {
-                    verify_block(self, q, scratch, false, None, &mut stats);
-                    for &key in &scratch.keys {
-                        verified += 1;
-                        stats.candidates += 1;
-                        let (id, d) = key_parts(key);
-                        push_candidate_unchecked(&mut top, Neighbor { id, dist: d as f32 }, k);
-                        if verified >= budget || verified >= live {
-                            break 'merge;
-                        }
+                for &key in fresh.verify(self, q, false, None, &mut stats, |ext| ext, None) {
+                    verified += 1;
+                    stats.candidates += 1;
+                    let (id, d) = key_parts(key);
+                    push_candidate_unchecked(&mut top, Neighbor { id, dist: d as f32 }, k);
+                    if verified >= budget || verified >= live {
+                        break 'merge;
                     }
                 }
                 if drained_dry {
@@ -737,29 +488,41 @@ impl DbLsh {
                 neighbors: top,
                 stats,
             }
-        }))
+        })
     }
 }
 
-/// Reusable buffers for a [`LadderProber`]: the visited bitset, the
-/// query-projection buffer and the candidate-block staging of the blocked
-/// verification stage. Owned by the caller (serving workers keep a pool
-/// of these in thread-locals — one per shard — and reuse them across
-/// requests, which is what keeps the fan-out path allocation-free after
-/// warm-up).
+/// Reusable buffers for a [`LadderProber`] — the one per-query scratch
+/// every mode runs in: the query projections, the window-probe state, the
+/// visited bitset and the candidate-block staging of the blocked
+/// verification stage. The unsharded entry points share one per thread,
+/// serving workers keep one per shard in a thread-local; reuse across
+/// requests is what keeps the query path allocation-free after warm-up.
+/// [`DbLsh::ladder_prober`] resets it, so nothing carries over from one
+/// query — or one mode — to the next.
 #[derive(Debug)]
 pub struct ProberScratch {
-    visited: Visited,
     qproj: Vec<f64>,
     /// Corners, DFS stack and leaf-hit buffer of the window probes.
     window: WindowScratch,
+    fresh: FreshBlock,
+}
+
+/// The verification stage's share of a [`ProberScratch`], split out so a
+/// window cursor can hold the probe state while candidates are verified.
+#[derive(Debug)]
+struct FreshBlock {
+    visited: Visited,
+    /// Admitted (not yet visited this query) internal ids awaiting
+    /// verification.
     block: Vec<u32>,
+    /// Squared distances of the block, parallel to `block`.
     dists: Vec<f32>,
+    /// Canonical consumption keys: `(sq-dist bits << 32) | public id`.
     keys: Vec<u64>,
-    /// One round's canonical keys, for the single-prober drivers
-    /// ([`DbLsh::search_canonical`]); a fan-out merges into its own.
-    round_keys: Vec<u64>,
+    /// Ids of the current block that survived the SQ8 pre-filter.
     survivors: Vec<u32>,
+    /// Quantized-domain query state for the SQ8 bound scan.
     prep: Sq8Query,
 }
 
@@ -768,15 +531,16 @@ impl ProberScratch {
     /// size themselves on first use.
     pub const fn new() -> Self {
         ProberScratch {
-            visited: Visited::empty(),
             qproj: Vec::new(),
             window: WindowScratch::new(),
-            block: Vec::new(),
-            dists: Vec::new(),
-            keys: Vec::new(),
-            round_keys: Vec::new(),
-            survivors: Vec::new(),
-            prep: Sq8Query::empty(),
+            fresh: FreshBlock {
+                visited: Visited::empty(),
+                block: Vec::new(),
+                dists: Vec::new(),
+                keys: Vec::new(),
+                survivors: Vec::new(),
+                prep: Sq8Query::empty(),
+            },
         }
     }
 }
@@ -787,8 +551,104 @@ impl Default for ProberScratch {
     }
 }
 
-/// Per-query probing state over one [`DbLsh`] index: the building block
-/// of the *canonical round-exhaustive* query mode ([`CanonicalLadder`]).
+/// Run `f`, adding its wall time to `stage` of a traced query. An
+/// untraced query (`None`) reads no clock.
+#[inline]
+fn timed<T>(trace: Option<&mut QueryTrace>, stage: Stage, f: impl FnOnce() -> T) -> T {
+    let Some(trace) = trace else { return f() };
+    let started = Instant::now();
+    let out = f();
+    trace.add(stage, started.elapsed().as_nanos() as u64);
+    out
+}
+
+impl FreshBlock {
+    /// Admit one cursor batch: every id counts as an index probe, the
+    /// ones not yet visited this query join the block.
+    #[inline]
+    fn admit(&mut self, batch: &[u32], stats: &mut QueryStats) {
+        stats.index_probes += batch.len();
+        for &id in batch {
+            if self.visited.insert(id) {
+                self.block.push(id);
+            }
+        }
+    }
+
+    /// The one verification stage: drain the admitted block through the
+    /// shared canonical staging — sort into memory order, screen through
+    /// the SQ8 pre-filter when `prune` carries the current
+    /// squared-distance threshold, fused distance kernel over the
+    /// internal-order rows — and return the canonical
+    /// `(distance, to_global(external id))` keys, sorted ascending (none
+    /// when nothing was admitted). Adds `verify_nanos` (when `timing` is
+    /// set) and the prefilter counters to `stats`, and the
+    /// [`Stage::Prefilter`] / [`Stage::Verify`] split to `trace`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn verify(
+        &mut self,
+        index: &DbLsh,
+        q: &[f32],
+        timing: bool,
+        prune: Option<f32>,
+        stats: &mut QueryStats,
+        to_global: impl Fn(u32) -> u32,
+        trace: Option<&mut QueryTrace>,
+    ) -> &[u64] {
+        self.keys.clear();
+        if self.block.is_empty() {
+            return &self.keys;
+        }
+        let started = timing.then(Instant::now);
+        let rows = &index.rows;
+        let to_public = |internal| to_global(index.to_ext(internal));
+        match prune {
+            Some(threshold) => {
+                let mut split = VerifySplit::default();
+                let (pruned, survived) = canonical_verify_keys_prefiltered(
+                    q,
+                    rows.flat(),
+                    rows.dim(),
+                    &index.sq8,
+                    &self.prep,
+                    threshold,
+                    &mut self.block,
+                    &mut self.dists,
+                    &mut self.survivors,
+                    &mut self.keys,
+                    to_public,
+                    trace.is_some().then_some(&mut split),
+                );
+                stats.prefilter_pruned += pruned;
+                stats.prefilter_survivors += survived;
+                if let Some(trace) = trace {
+                    trace.add(Stage::Prefilter, split.prefilter_nanos);
+                    trace.add(Stage::Verify, split.verify_nanos);
+                }
+            }
+            None => timed(trace, Stage::Verify, || {
+                canonical_verify_keys(
+                    q,
+                    rows.flat(),
+                    rows.dim(),
+                    &mut self.block,
+                    &mut self.dists,
+                    &mut self.keys,
+                    to_public,
+                )
+            }),
+        }
+        if let Some(t) = started {
+            stats.verify_nanos += t.elapsed().as_nanos() as u64;
+        }
+        self.block.clear();
+        &self.keys
+    }
+}
+
+/// Per-query probing state over one [`DbLsh`] index: what every query
+/// mode is built from.
 ///
 /// A prober is created once per (query, index) pair and asked for one
 /// ladder round at a time via [`LadderProber::probe_round`]; its visited
@@ -805,41 +665,39 @@ pub struct LadderProber<'a> {
 }
 
 impl<'a> LadderProber<'a> {
-    /// Number of live points in the probed index.
-    pub fn live(&self) -> usize {
-        self.index.len()
-    }
-
-    /// The window scans of one round: every id inside `W(G_i(q), w0 r)`
-    /// in each of the `L` trees is counted into `stats.index_probes`,
-    /// and those not yet visited this query are left in `scratch.block`.
-    /// Runs in the scratch's buffers — a warm prober allocates nothing.
-    fn scan_round(&mut self, r: f64, stats: &mut QueryStats) {
-        let kdim = self.index.params.k;
-        let side = self.index.params.w0 * r;
+    /// Walk the windows `W(G_i(q), w0 r)` of the `L` trees in order,
+    /// handing `f` each leaf's in-window ids together with the
+    /// verification stage; stops early, returning `true`, as soon as `f`
+    /// does. Runs in the scratch's buffers — a warm prober allocates
+    /// nothing.
+    #[inline]
+    fn for_each_batch(
+        &mut self,
+        r: f64,
+        mut f: impl FnMut(&mut FreshBlock, &[u32]) -> bool,
+    ) -> bool {
+        let index = self.index;
+        let kdim = index.params.k;
+        let side = index.params.w0 * r;
         let scratch = &mut *self.scratch;
-        scratch.block.clear();
-        for (i, tree) in self.index.trees.iter().enumerate() {
-            let view = self.index.store.view(i);
+        for (i, tree) in index.trees.iter().enumerate() {
+            let view = index.store.view(i);
             let qp = &scratch.qproj[i * kdim..(i + 1) * kdim];
             let mut cursor = tree.window_cube_in(&view, qp, side, &mut scratch.window);
             while let Some(batch) = cursor.next_batch() {
-                stats.index_probes += batch.len();
-                for &id in batch {
-                    if scratch.visited.insert(id) {
-                        scratch.block.push(id);
-                    }
+                if f(&mut scratch.fresh, batch) {
+                    return true;
                 }
             }
         }
+        false
     }
 
     /// Probe one ladder round at radius `r`: scan the window
     /// `W(G_i(q), w0 r)` in all `L` trees, verify every *fresh* (not yet
-    /// visited) candidate with the blocked distance kernel, and append
+    /// visited) candidate with the blocked distance kernel, and return
     /// the canonical consumption keys — `(squared-distance bits << 32) |
-    /// to_global(external id)` — to `out`, sorted ascending among
-    /// themselves.
+    /// to_global(external id)` — sorted ascending.
     ///
     /// `to_global` maps this index's external ids into the caller's id
     /// space (identity for an unsharded index; the shard's global-id
@@ -859,6 +717,12 @@ impl<'a> LadderProber<'a> {
     /// `prefilter_survivors`. Because every shard of a fan-out quantizes
     /// against the same grid, per-shard prune decisions — and therefore
     /// the merged counters — match an unsharded probe exactly.
+    ///
+    /// With `trace` set, the window scan is timed under
+    /// [`Stage::TreeProbe`] and the verification under
+    /// [`Stage::Prefilter`] (SQ8 bound scan + survivor partition) and
+    /// [`Stage::Verify`] (fused distance kernel + canonical key sort);
+    /// `None` reads no clock. The trace decides nothing else.
     pub fn probe_round(
         &mut self,
         r: f64,
@@ -866,142 +730,49 @@ impl<'a> LadderProber<'a> {
         prune: Option<f32>,
         stats: &mut QueryStats,
         to_global: impl Fn(u32) -> u32,
-        out: &mut Vec<u64>,
-    ) {
-        self.scan_round(r, stats);
-        if self.scratch.block.is_empty() {
-            return;
-        }
-        let started = if timing { Some(Instant::now()) } else { None };
-        let verify = &self.index.rows;
-        match prune {
-            Some(threshold) => {
-                let (pruned, survived) = canonical_verify_keys_prefiltered(
-                    self.q,
-                    verify.flat(),
-                    verify.dim(),
-                    &self.index.sq8,
-                    &self.scratch.prep,
-                    threshold,
-                    &mut self.scratch.block,
-                    &mut self.scratch.dists,
-                    &mut self.scratch.survivors,
-                    &mut self.scratch.keys,
-                    |internal| to_global(self.index.to_ext(internal)),
-                );
-                stats.prefilter_pruned += pruned;
-                stats.prefilter_survivors += survived;
-            }
-            None => canonical_verify_keys(
-                self.q,
-                verify.flat(),
-                verify.dim(),
-                &mut self.scratch.block,
-                &mut self.scratch.dists,
-                &mut self.scratch.keys,
-                |internal| to_global(self.index.to_ext(internal)),
-            ),
-        }
-        if let Some(t) = started {
-            stats.verify_nanos += t.elapsed().as_nanos() as u64;
-        }
-        out.extend_from_slice(&self.scratch.keys);
-    }
-
-    /// [`LadderProber::probe_round`] with per-stage timing into `trace`:
-    /// the window scan lands under [`dblsh_telemetry::Stage::TreeProbe`],
-    /// and the verification splits into
-    /// [`dblsh_telemetry::Stage::Prefilter`] (SQ8 bound scan + survivor
-    /// partition) and [`dblsh_telemetry::Stage::Verify`] (fused distance
-    /// kernel + canonical key sort) via
-    /// [`dblsh_data::kernels::canonical_verify_keys_prefiltered_traced`].
-    /// Keys, counters and prune decisions are byte-identical to the
-    /// untraced method (the traced kernel mirrors the untraced one
-    /// statement for statement); only the clock reads are added.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_round_traced(
-        &mut self,
-        r: f64,
-        timing: bool,
-        prune: Option<f32>,
-        stats: &mut QueryStats,
-        to_global: impl Fn(u32) -> u32,
-        out: &mut Vec<u64>,
-        trace: &mut QueryTrace,
-    ) {
-        let scan_started = Instant::now();
-        self.scan_round(r, stats);
-        trace.add(Stage::TreeProbe, scan_started.elapsed().as_nanos() as u64);
-        if self.scratch.block.is_empty() {
-            return;
-        }
-        let started = if timing { Some(Instant::now()) } else { None };
-        let verify = &self.index.rows;
-        match prune {
-            Some(threshold) => {
-                let mut split = VerifySplit::default();
-                let (pruned, survived) = canonical_verify_keys_prefiltered_traced(
-                    self.q,
-                    verify.flat(),
-                    verify.dim(),
-                    &self.index.sq8,
-                    &self.scratch.prep,
-                    threshold,
-                    &mut self.scratch.block,
-                    &mut self.scratch.dists,
-                    &mut self.scratch.survivors,
-                    &mut self.scratch.keys,
-                    |internal| to_global(self.index.to_ext(internal)),
-                    &mut split,
-                );
-                stats.prefilter_pruned += pruned;
-                stats.prefilter_survivors += survived;
-                trace.add(Stage::Prefilter, split.prefilter_nanos);
-                trace.add(Stage::Verify, split.verify_nanos);
-            }
-            None => {
-                let verify_started = Instant::now();
-                canonical_verify_keys(
-                    self.q,
-                    verify.flat(),
-                    verify.dim(),
-                    &mut self.scratch.block,
-                    &mut self.scratch.dists,
-                    &mut self.scratch.keys,
-                    |internal| to_global(self.index.to_ext(internal)),
-                );
-                trace.add(Stage::Verify, verify_started.elapsed().as_nanos() as u64);
-            }
-        }
-        if let Some(t) = started {
-            stats.verify_nanos += t.elapsed().as_nanos() as u64;
-        }
-        out.extend_from_slice(&self.scratch.keys);
+        mut trace: Option<&mut QueryTrace>,
+    ) -> &[u64] {
+        timed(trace.as_deref_mut(), Stage::TreeProbe, || {
+            self.for_each_batch(r, |fresh, batch| {
+                fresh.admit(batch, stats);
+                false
+            })
+        });
+        let fresh = &mut self.scratch.fresh;
+        fresh.verify(self.index, self.q, timing, prune, stats, to_global, trace)
     }
 }
 
-/// The deterministic coordinator of the canonical round-exhaustive
-/// (c,k)-ANN ladder — the serving engine's query semantics.
+/// Algorithm 1's stop rules, written once: push each verified candidate
+/// into the top-k, stop on the `2tL + k` budget or once the k-th best is
+/// within `c·r`, stop when every live point is verified, else
+/// `r ← c·r` — for the classic ladder and for the canonical
+/// round-exhaustive (c,k)-ANN ladder, the serving engine's query
+/// semantics.
 ///
-/// Unlike [`DbLsh::k_ann`], which stops mid-round at whatever point of
-/// its internal tree-enumeration order the budget or `c·r` condition
-/// fires, the canonical ladder collects *every* in-window candidate of a
+/// [`DbLsh::k_ann`] offers each leaf batch as the trees enumerate it and
+/// so stops mid-round at whatever point of that enumeration order a rule
+/// fires. The canonical mode collects *every* in-window candidate of a
 /// round (from one prober, or merged from one prober per shard), sorts
 /// them into canonical `(distance, external id)` order, and only then
-/// applies the per-candidate budget and termination checks of
-/// Algorithm 1. The answer therefore depends only on the candidate
+/// offers them. Its answer therefore depends only on the candidate
 /// *sets* per round — never on tree layout, shard assignment or
 /// enumeration order — which is what makes a sharded index answer
 /// byte-identically to an unsharded one.
 ///
 /// Drive it as: `while let Some(r) = ladder.begin_round(&mut stats) {
-/// probe all sources at r; sort the merged keys; ladder.consume(..) }`,
-/// then [`CanonicalLadder::into_result`].
+/// probe at r; for each sorted key run: if ladder.offer(..) { stop
+/// probing }; if no offer stopped: ladder.end_round() }`, then
+/// [`CanonicalLadder::into_result`]. [`CanonicalLadder::consume`] is the
+/// offer + end-of-round pair for callers with one run per round.
 #[derive(Debug)]
 pub struct CanonicalLadder {
     top: Vec<Neighbor>,
     /// Raw squared f32 distances mirroring `top` — the prune-threshold
-    /// source for [`CanonicalLadder::prune_threshold`].
+    /// source for [`CanonicalLadder::prune_threshold`]. The threshold
+    /// must be the k-th squared distance exactly as the verify kernel
+    /// produced it (not a re-squared `sqrt`), or the bound comparison
+    /// would not be conservative.
     top_sq: Vec<f32>,
     k: usize,
     c: f64,
@@ -1038,9 +809,11 @@ impl CanonicalLadder {
 
     /// Start the next round. Returns the radius to probe, or `None` when
     /// the ladder has terminated (answer already within `c·r`, budget
-    /// spent, every live point verified, or round cap reached). Must be
-    /// followed by exactly one [`CanonicalLadder::consume`] of the
-    /// round's merged keys when it returns `Some`.
+    /// spent, every live point verified, or round cap reached). When it
+    /// returns `Some`, the round's keys go through
+    /// [`CanonicalLadder::offer`] and the round is closed with
+    /// [`CanonicalLadder::end_round`] (or both at once with
+    /// [`CanonicalLadder::consume`]).
     pub fn begin_round(&mut self, stats: &mut QueryStats) -> Option<f64> {
         if self.done || self.rounds_begun == self.max_rounds {
             return None;
@@ -1057,12 +830,11 @@ impl CanonicalLadder {
         Some(self.r)
     }
 
-    /// The SQ8 pre-filter threshold for the coming round: the k-th best
-    /// *squared* distance exactly as the verify kernel produced it, or
-    /// `+∞` while the top is not yet full (no pruning until `k`
-    /// candidates exist). Pass to every
-    /// [`LadderProber::probe_round`] of the round when the plan enables
-    /// the prefilter.
+    /// The SQ8 pre-filter threshold as of now: the k-th best *squared*
+    /// distance exactly as the verify kernel produced it, or `+∞` while
+    /// the top is not yet full (no pruning until `k` candidates exist).
+    /// Pass to every [`LadderProber::probe_round`] of the round when the
+    /// plan enables the prefilter.
     pub fn prune_threshold(&self) -> f32 {
         if self.top.len() == self.k {
             self.top_sq[self.k - 1]
@@ -1071,42 +843,54 @@ impl CanonicalLadder {
         }
     }
 
-    /// Consume one round's candidates — the concatenation of every
-    /// prober's [`LadderProber::probe_round`] output, sorted ascending
-    /// (already sorted for a single prober) — applying the budget and
-    /// `c·r` termination checks per candidate in canonical order.
-    pub fn consume(&mut self, sorted_keys: &[u64], stats: &mut QueryStats) {
+    /// Offer a run of the current round's candidates, sorted ascending
+    /// (one leaf batch's keys, or a whole round's), applying the budget
+    /// and `c·r` checks of Algorithm 1's Line 6 per candidate in
+    /// canonical order. Returns `true` — and the ladder is finished — as
+    /// soon as one fires; the rest of the run is not read.
+    pub fn offer(&mut self, sorted_keys: &[u64], stats: &mut QueryStats) -> bool {
         debug_assert!(sorted_keys.windows(2).all(|w| w[0] <= w[1]));
+        let k = self.k;
         for &key in sorted_keys {
             self.verified += 1;
             stats.candidates += 1;
             let (id, d) = key_parts(key);
-            let d2 = f32::from_bits((key >> 32) as u32);
-            push_candidate_with_sq(
-                &mut self.top,
-                &mut self.top_sq,
-                Neighbor { id, dist: d as f32 },
-                d2,
-                self.k,
-            );
+            let dist = d as f32;
+            let pos = self.top.partition_point(|n| n.dist <= dist);
+            if pos < k {
+                self.top.insert(pos, Neighbor { id, dist });
+                self.top_sq.insert(pos, f32::from_bits((key >> 32) as u32));
+                self.top.truncate(k);
+                self.top_sq.truncate(k);
+            }
             if self.verified >= self.budget
-                || (self.top.len() == self.k && self.top[self.k - 1].dist as f64 <= self.cr)
+                || (self.top.len() == k && self.top[k - 1].dist as f64 <= self.cr)
             {
                 self.done = true;
-                return;
+                return true;
             }
         }
-        if self.verified >= self.live {
-            self.done = true; // every live point verified; nothing left
-            return;
-        }
-        self.r *= self.c;
+        false
     }
 
-    /// The current top-k (ascending distance), e.g. for inspection
-    /// between rounds.
-    pub fn neighbors(&self) -> &[Neighbor] {
-        &self.top
+    /// Close a round in which no [`CanonicalLadder::offer`] stopped: the
+    /// ladder is finished if every live point has been verified (nothing
+    /// left to find), otherwise `r ← c·r`.
+    pub fn end_round(&mut self) {
+        if self.verified >= self.live {
+            self.done = true;
+        } else {
+            self.r *= self.c;
+        }
+    }
+
+    /// Consume one whole round — the concatenation of every prober's
+    /// [`LadderProber::probe_round`] output, sorted ascending (already
+    /// sorted for a single prober): one offer, then the end of the round.
+    pub fn consume(&mut self, sorted_keys: &[u64], stats: &mut QueryStats) {
+        if !self.offer(sorted_keys, stats) {
+            self.end_round();
+        }
     }
 
     /// Finish the query.
@@ -1119,42 +903,36 @@ impl CanonicalLadder {
 }
 
 thread_local! {
-    /// The canonical entry points' buffers, reused across queries on the
-    /// same thread like the classic path's `SCRATCH` — the two modes must
-    /// not differ by allocation overhead.
-    static CANONICAL_SCRATCH: RefCell<ProberScratch> =
-        const { RefCell::new(ProberScratch::new()) };
-}
-
-/// Run `f` on the thread's canonical-mode scratch.
-fn with_canonical_scratch<T>(f: impl FnOnce(&mut ProberScratch) -> T) -> T {
-    CANONICAL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        // Re-entrancy (a Drop impl querying mid-query) falls back to
-        // fresh buffers rather than panicking.
-        Err(_) => f(&mut ProberScratch::new()),
-    })
+    /// The unsharded entry points' buffers, reused across queries — of
+    /// any mode — on the same thread.
+    static SCRATCH: RefCell<ProberScratch> = const { RefCell::new(ProberScratch::new()) };
 }
 
 impl DbLsh {
     /// Create a [`LadderProber`] for `q` over this index, using (and
-    /// resetting) the caller's `scratch` buffers. Fails on a malformed
-    /// query vector.
+    /// resetting) the caller's `scratch` buffers: the `L x K`
+    /// matrix-vector products plus the SQ8 query preparation, timed under
+    /// [`Stage::Projection`] when the query is traced. Fails on a
+    /// malformed query vector.
     pub fn ladder_prober<'a>(
         &'a self,
         q: &'a [f32],
         scratch: &'a mut ProberScratch,
+        trace: Option<&mut QueryTrace>,
     ) -> Result<LadderProber<'a>, DbLshError> {
         check_query(self.rows.dim(), q, 1)?;
-        // Internal-id domain: physical store rows.
-        scratch.visited.reset(self.store.len());
-        let (l, k) = (self.params.l, self.params.k);
-        scratch.qproj.resize(l * k, 0.0);
-        for i in 0..l {
-            self.hasher
-                .project_into(i, q, &mut scratch.qproj[i * k..(i + 1) * k]);
-        }
-        self.sq8.prepare_query(q, &mut scratch.prep);
+        timed(trace, Stage::Projection, || {
+            // Internal-id domain: physical store rows.
+            scratch.fresh.visited.reset(self.store.len());
+            scratch.fresh.block.clear();
+            let (l, k) = (self.params.l, self.params.k);
+            scratch.qproj.resize(l * k, 0.0);
+            for i in 0..l {
+                self.hasher
+                    .project_into(i, q, &mut scratch.qproj[i * k..(i + 1) * k]);
+            }
+            self.sq8.prepare_query(q, &mut scratch.fresh.prep);
+        });
         Ok(LadderProber {
             index: self,
             q,
@@ -1162,19 +940,19 @@ impl DbLsh {
         })
     }
 
-    /// [`DbLsh::ladder_prober`] with the projection stage — the `L x K`
-    /// matrix-vector products plus the SQ8 query preparation — timed into
-    /// `trace` under [`dblsh_telemetry::Stage::Projection`].
-    pub fn ladder_prober_traced<'a>(
-        &'a self,
-        q: &'a [f32],
-        scratch: &'a mut ProberScratch,
-        trace: &mut QueryTrace,
-    ) -> Result<LadderProber<'a>, DbLshError> {
-        let started = Instant::now();
-        let prober = self.ladder_prober(q, scratch)?;
-        trace.add(Stage::Projection, started.elapsed().as_nanos() as u64);
-        Ok(prober)
+    /// Run `f` on a prober for `q` over the thread's scratch.
+    fn with_prober<T>(
+        &self,
+        q: &[f32],
+        f: impl FnOnce(LadderProber) -> T,
+    ) -> Result<T, DbLshError> {
+        let run = |scratch: &mut ProberScratch| self.ladder_prober(q, scratch, None).map(f);
+        SCRATCH.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut scratch) => run(&mut scratch),
+            // Re-entrancy (a Drop impl querying mid-query) falls back to
+            // fresh buffers rather than panicking.
+            Err(_) => run(&mut ProberScratch::new()),
+        })
     }
 
     /// (c,k)-ANN in the *canonical round-exhaustive* mode — the serving
@@ -1195,8 +973,8 @@ impl DbLsh {
         opts: &SearchOptions,
     ) -> Result<SearchResult, DbLshError> {
         check_query(self.rows.dim(), q, k)?;
-        let plan = opts.resolved(self, k)?;
-        let mut res = with_canonical_scratch(|scratch| self.canonical_core(q, k, &plan, scratch))?;
+        let plan = opts.plan(&self.params, k)?;
+        let mut res = self.with_prober(q, |prober| self.canonical_core(prober, k, &plan))?;
         if opts.skip_stats {
             res.stats = QueryStats::default();
         }
@@ -1205,82 +983,20 @@ impl DbLsh {
 
     fn canonical_core(
         &self,
-        q: &[f32],
+        mut prober: LadderProber,
         k: usize,
         plan: &LadderPlan,
-        scratch: &mut ProberScratch,
-    ) -> Result<SearchResult, DbLshError> {
-        let mut prober = self.ladder_prober(q, scratch)?;
+    ) -> SearchResult {
         let mut ladder = CanonicalLadder::new(plan, self.params.c, k, self.len());
         let mut stats = QueryStats::default();
-        let mut keys = std::mem::take(&mut prober.scratch.round_keys);
         while let Some(r) = ladder.begin_round(&mut stats) {
-            keys.clear();
             let prune = plan.prefilter.then(|| ladder.prune_threshold());
             // A single prober's round output is already canonically
             // sorted — no merge needed.
-            prober.probe_round(r, plan.timing, prune, &mut stats, |ext| ext, &mut keys);
-            ladder.consume(&keys, &mut stats);
+            let keys = prober.probe_round(r, plan.timing, prune, &mut stats, |ext| ext, None);
+            ladder.consume(keys, &mut stats);
         }
-        prober.scratch.round_keys = keys;
-        Ok(ladder.into_result(stats))
-    }
-
-    /// [`DbLsh::search_canonical`] with a per-stage [`QueryTrace`]:
-    /// projection, window scanning, SQ8 pre-filtering, exact
-    /// verification and canonical-order consumption
-    /// ([`dblsh_telemetry::Stage::Merge`]) are timed into `trace`.
-    /// Answers and [`QueryStats`] are byte-identical to the untraced
-    /// path — pinned by tests — so the serving engine can flip tracing
-    /// per request without perturbing results.
-    pub fn search_canonical_traced(
-        &self,
-        q: &[f32],
-        k: usize,
-        opts: &SearchOptions,
-        trace: &mut QueryTrace,
-    ) -> Result<SearchResult, DbLshError> {
-        check_query(self.rows.dim(), q, k)?;
-        let plan = opts.resolved(self, k)?;
-        let mut res = with_canonical_scratch(|scratch| {
-            self.canonical_core_traced(q, k, &plan, scratch, trace)
-        })?;
-        if opts.skip_stats {
-            res.stats = QueryStats::default();
-        }
-        Ok(res)
-    }
-
-    fn canonical_core_traced(
-        &self,
-        q: &[f32],
-        k: usize,
-        plan: &LadderPlan,
-        scratch: &mut ProberScratch,
-        trace: &mut QueryTrace,
-    ) -> Result<SearchResult, DbLshError> {
-        let mut prober = self.ladder_prober_traced(q, scratch, trace)?;
-        let mut ladder = CanonicalLadder::new(plan, self.params.c, k, self.len());
-        let mut stats = QueryStats::default();
-        let mut keys = std::mem::take(&mut prober.scratch.round_keys);
-        while let Some(r) = ladder.begin_round(&mut stats) {
-            keys.clear();
-            let prune = plan.prefilter.then(|| ladder.prune_threshold());
-            prober.probe_round_traced(
-                r,
-                plan.timing,
-                prune,
-                &mut stats,
-                |ext| ext,
-                &mut keys,
-                trace,
-            );
-            let merge_started = Instant::now();
-            ladder.consume(&keys, &mut stats);
-            trace.add(Stage::Merge, merge_started.elapsed().as_nanos() as u64);
-        }
-        prober.scratch.round_keys = keys;
-        Ok(ladder.into_result(stats))
+        ladder.into_result(stats)
     }
 }
 
@@ -1310,7 +1026,7 @@ mod tests {
     use dblsh_data::ground_truth::exact_knn_single;
     use dblsh_data::synthetic::{gaussian_mixture, split_queries, MixtureConfig};
     use dblsh_data::{metrics, Dataset};
-    use dblsh_index::CoordSource;
+    use dblsh_index::{CoordSource, Rect};
     use std::sync::Arc;
 
     fn clustered(n: usize, dim: usize, seed: u64) -> Dataset {
@@ -1861,16 +1577,74 @@ mod tests {
         let mut scratch = ProberScratch::default();
         for qi in [3usize, 3, 50, 3] {
             let q = data.point(qi).to_vec();
-            let mut stats = QueryStats::default();
-            let mut keys = Vec::new();
-            let mut prober = idx.ladder_prober(&q, &mut scratch).unwrap();
-            prober.probe_round(5.0, false, None, &mut stats, |e| e, &mut keys);
+            let (mut stats, mut trace) = (QueryStats::default(), QueryTrace::new());
+            let mut prober = idx
+                .ladder_prober(&q, &mut scratch, Some(&mut trace))
+                .unwrap();
+            let keys = prober.probe_round(5.0, false, None, &mut stats, |e| e, Some(&mut trace));
             // the query point itself is always in its own window
             assert!(
                 keys.iter().any(|&key| key_parts(key).0 == qi as u32),
                 "query point missing from its own window probe"
             );
             assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+            assert!(trace.get(Stage::Projection) > 0 && trace.get(Stage::TreeProbe) > 0);
+        }
+        // One thread-local scratch under every mode, in every order: each
+        // answer equals what a fresh thread (a fresh scratch) gives.
+        type Mode<'a> = &'a (dyn Fn(&[f32]) -> (Vec<Neighbor>, QueryStats) + Sync);
+        let of = |r: SearchResult| (r.neighbors, r.stats);
+        let defaults = SearchOptions::default();
+        let modes: [Mode; 4] = [
+            &|q| of(idx.k_ann(q, 5).unwrap()),
+            &|q| {
+                let (hit, stats) = idx.r_c_nn(q, 5.0).unwrap();
+                (hit.into_iter().collect(), stats)
+            },
+            &|q| of(idx.k_ann_incremental(q, 5).unwrap()),
+            &|q| of(idx.search_canonical(q, 5, &defaults).unwrap()),
+        ];
+        let qs = [data.point(3), data.point(50)];
+        let fresh = |m: usize, qi: usize| {
+            std::thread::scope(|s| s.spawn(|| modes[m](qs[qi])).join().unwrap())
+        };
+        for (a, b) in (0..4).flat_map(|a| (0..4).map(move |b| (a, b))) {
+            for (m, qi) in [(a, 0), (b, 1), (a, 0)] {
+                assert_eq!(modes[m](qs[qi]), fresh(m, qi), "mode {m} in {a}, {b}, {a}");
+            }
+        }
+    }
+
+    #[test]
+    fn ladder_offers_in_chunks_equal_one_consume() {
+        // 40 candidates far outside c·r, budget never reached: no stop
+        // fires mid-round, so only the end of the round may differ.
+        let plan = LadderPlan {
+            budget: 1000,
+            r0: 0.5,
+            max_rounds: 8,
+            timing: false,
+            prefilter: true,
+        };
+        let keys: Vec<u64> = (0..40u32)
+            .map(|i| (((9.0 + i as f32).to_bits() as u64) << 32) | i as u64)
+            .collect();
+        // live = 40: the live-set rule ends the ladder; 1000: r ← c·r.
+        for (live, chunk) in [(1000, 1), (1000, 7), (1000, 40), (40, 7), (40, 32)] {
+            let mut whole = CanonicalLadder::new(&plan, 1.5, 5, live);
+            let mut parts = CanonicalLadder::new(&plan, 1.5, 5, live);
+            let (mut s1, mut s2) = (QueryStats::default(), QueryStats::default());
+            assert_eq!(whole.begin_round(&mut s1), Some(0.5));
+            assert_eq!(parts.begin_round(&mut s2), Some(0.5));
+            whole.consume(&keys, &mut s1);
+            for run in keys.chunks(chunk) {
+                assert!(!parts.offer(run, &mut s2));
+            }
+            parts.end_round();
+            // Debug prints every field: top, top_sq, verified, r, done.
+            assert_eq!(format!("{parts:?}"), format!("{whole:?}"));
+            assert_eq!((s1, whole.verified, whole.done), (s2, 40, live == 40));
+            assert_eq!(whole.r, if live == 40 { 0.5 } else { 0.75 });
         }
     }
 
@@ -1971,70 +1745,5 @@ mod tests {
         let res = idx.k_ann(&novel, 1).unwrap();
         assert_eq!(res.neighbors[0].id, id);
         assert_eq!(res.neighbors[0].dist, 0.0);
-    }
-
-    #[test]
-    fn traced_canonical_matches_untraced_byte_for_byte() {
-        // The span recorder must be a pure observer: answers and every
-        // work counter byte-identical with tracing on, prefilter on or
-        // off — only the QueryTrace differs from zero.
-        let mut data = clustered(2500, 16, 31);
-        let queries = split_queries(&mut data, 8, 12);
-        let data = Arc::new(data);
-        let idx = build(&data);
-        for prefilter in [true, false] {
-            let opts = SearchOptions {
-                prefilter,
-                ..Default::default()
-            };
-            for qi in 0..queries.len() {
-                let q = queries.point(qi);
-                let plain = idx.search_canonical(q, 10, &opts).unwrap();
-                let mut trace = dblsh_telemetry::QueryTrace::default();
-                let traced = idx
-                    .search_canonical_traced(q, 10, &opts, &mut trace)
-                    .unwrap();
-                assert_eq!(plain.neighbors, traced.neighbors, "query {qi}");
-                assert_eq!(plain.stats, traced.stats, "query {qi}");
-                assert!(
-                    trace.get(Stage::Projection) > 0,
-                    "query {qi}: projection stage not timed"
-                );
-                assert!(
-                    trace.get(Stage::TreeProbe) > 0,
-                    "query {qi}: tree-probe stage not timed"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn traced_prober_round_matches_untraced_keys() {
-        let data = Arc::new(clustered(1500, 12, 37));
-        let idx = build(&data);
-        let q = data.point(3);
-        for prune in [None, Some(f32::INFINITY), Some(25.0)] {
-            let mut s1 = ProberScratch::new();
-            let mut s2 = ProberScratch::new();
-            let mut stats1 = QueryStats::default();
-            let mut stats2 = QueryStats::default();
-            let mut keys1 = Vec::new();
-            let mut keys2 = Vec::new();
-            let mut trace = QueryTrace::default();
-            let mut p1 = idx.ladder_prober(q, &mut s1).unwrap();
-            p1.probe_round(2.0, false, prune, &mut stats1, |e| e, &mut keys1);
-            let mut p2 = idx.ladder_prober_traced(q, &mut s2, &mut trace).unwrap();
-            p2.probe_round_traced(
-                2.0,
-                false,
-                prune,
-                &mut stats2,
-                |e| e,
-                &mut keys2,
-                &mut trace,
-            );
-            assert_eq!(keys1, keys2, "prune {prune:?}");
-            assert_eq!(stats1, stats2, "prune {prune:?}");
-        }
     }
 }

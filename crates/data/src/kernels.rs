@@ -46,6 +46,8 @@
 //! The per-arch kernels are public precisely so the parity tests can
 //! exercise every compiled variant against the scalar reference.
 
+use std::time::Instant;
+
 use crate::dataset::sq_dist;
 use crate::sq8::{lower_bound_block, Sq8Query, Sq8Store};
 
@@ -204,6 +206,9 @@ pub fn canonical_verify_keys(
 ///
 /// Passing `threshold = f32::INFINITY` skips the bound scan (nothing can
 /// be pruned) but still reports every candidate as a survivor.
+///
+/// A traced caller passes `Some(split)` and gets the call's wall time
+/// added to it, divided at the partition boundary; `None` reads no clock.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn canonical_verify_keys_prefiltered(
@@ -218,7 +223,9 @@ pub fn canonical_verify_keys_prefiltered(
     survivors: &mut Vec<u32>,
     keys: &mut Vec<u64>,
     to_public: impl Fn(u32) -> u32,
+    split: Option<&mut VerifySplit>,
 ) -> (usize, usize) {
+    let started = split.is_some().then(Instant::now);
     block.sort_unstable();
     survivors.clear();
     keys.clear();
@@ -241,16 +248,21 @@ pub fn canonical_verify_keys_prefiltered(
         }
     }
     let pruned = block.len() - survivors.len();
+    let partitioned = split.is_some().then(Instant::now);
     dists.resize(survivors.len(), 0.0);
     sq_dist_block(q, flat, dim, survivors, dists);
     for (&id, &d2) in survivors.iter().zip(dists.iter()) {
         keys.push(((d2.to_bits() as u64) << 32) | to_public(id) as u64);
     }
     keys.sort_unstable();
+    if let (Some(split), Some(t0), Some(t1)) = (split, started, partitioned) {
+        split.prefilter_nanos += t1.duration_since(t0).as_nanos() as u64;
+        split.verify_nanos += t1.elapsed().as_nanos() as u64;
+    }
     (pruned, survivors.len())
 }
 
-/// Nanosecond attribution of one traced verification call, split at the
+/// Nanosecond attribution of one verification call, split at the
 /// boundary the fused kernel hides: the SQ8 bound scan and partition
 /// (`prefilter_nanos`) versus the exact blocked distance kernel plus key
 /// build and sort (`verify_nanos`).
@@ -260,56 +272,6 @@ pub struct VerifySplit {
     pub prefilter_nanos: u64,
     /// Time in the exact distance kernel, key build, and key sort.
     pub verify_nanos: u64,
-}
-
-/// [`canonical_verify_keys_prefiltered`] with per-stage timing: adds the
-/// prefilter/verify nanosecond split into `split`. Identical results —
-/// the body mirrors the untraced kernel statement for statement, with
-/// two timestamps added (a traced-vs-untraced parity test pins this).
-/// Kept separate so the untraced hot path pays zero clock reads.
-#[allow(clippy::too_many_arguments)]
-pub fn canonical_verify_keys_prefiltered_traced(
-    q: &[f32],
-    flat: &[f32],
-    dim: usize,
-    store: &Sq8Store,
-    prep: &Sq8Query,
-    threshold: f32,
-    block: &mut [u32],
-    dists: &mut Vec<f32>,
-    survivors: &mut Vec<u32>,
-    keys: &mut Vec<u64>,
-    to_public: impl Fn(u32) -> u32,
-    split: &mut VerifySplit,
-) -> (usize, usize) {
-    let start = std::time::Instant::now();
-    block.sort_unstable();
-    survivors.clear();
-    keys.clear();
-    if threshold == f32::INFINITY {
-        survivors.extend_from_slice(block);
-    } else {
-        lower_bound_block(prep, store, block, dists);
-        for (&id, &bound) in block.iter().zip(dists.iter()) {
-            if bound > threshold {
-                keys.push(((bound.to_bits() as u64) << 32) | to_public(id) as u64);
-            } else {
-                prefetch_row(flat, dim, id);
-                survivors.push(id);
-            }
-        }
-    }
-    let pruned = block.len() - survivors.len();
-    let partitioned = std::time::Instant::now();
-    split.prefilter_nanos += partitioned.duration_since(start).as_nanos() as u64;
-    dists.resize(survivors.len(), 0.0);
-    sq_dist_block(q, flat, dim, survivors, dists);
-    for (&id, &d2) in survivors.iter().zip(dists.iter()) {
-        keys.push(((d2.to_bits() as u64) << 32) | to_public(id) as u64);
-    }
-    keys.sort_unstable();
-    split.verify_nanos += partitioned.elapsed().as_nanos() as u64;
-    (pruned, survivors.len())
 }
 
 /// Best-effort prefetch of row `id`'s `f32` coordinates toward L1. The
@@ -791,55 +753,6 @@ mod tests {
                     assert_eq!(out[j].to_bits(), want.to_bits(), "dim={dim} n={n} j={j}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn traced_prefiltered_kernel_matches_untraced_bitwise() {
-        let dim = 8usize;
-        let n = 40usize;
-        let flat = rows(n, dim);
-        let q: Vec<f32> = (0..dim).map(|i| i as f32 * 0.9 - 2.0).collect();
-        let store = Sq8Store::learn_and_build(dim, &flat);
-        let mut prep = Sq8Query::empty();
-        store.prepare_query(&q, &mut prep);
-        for threshold in [f32::INFINITY, 150.0f32, 0.0] {
-            let ids: Vec<u32> = (0..n as u32).rev().collect();
-            let mut block_a = ids.clone();
-            let mut block_b = ids.clone();
-            let (mut da, mut sa, mut ka) = (Vec::new(), Vec::new(), Vec::new());
-            let (mut db, mut sb, mut kb) = (Vec::new(), Vec::new(), Vec::new());
-            let counts_a = canonical_verify_keys_prefiltered(
-                &q,
-                &flat,
-                dim,
-                &store,
-                &prep,
-                threshold,
-                &mut block_a,
-                &mut da,
-                &mut sa,
-                &mut ka,
-                |id| id,
-            );
-            let mut split = VerifySplit::default();
-            let counts_b = canonical_verify_keys_prefiltered_traced(
-                &q,
-                &flat,
-                dim,
-                &store,
-                &prep,
-                threshold,
-                &mut block_b,
-                &mut db,
-                &mut sb,
-                &mut kb,
-                |id| id,
-                &mut split,
-            );
-            assert_eq!(counts_a, counts_b, "threshold={threshold}");
-            assert_eq!(ka, kb, "keys must be byte-identical, threshold={threshold}");
-            assert_eq!(sa, sb, "survivors must match, threshold={threshold}");
         }
     }
 

@@ -46,9 +46,8 @@ pub use dataset::Dataset;
 pub use error::{check_query, DbLshError};
 pub use ground_truth::exact_knn;
 pub use kernels::{
-    canonical_verify_keys, canonical_verify_keys_prefiltered,
-    canonical_verify_keys_prefiltered_traced, matvec, simd_arch, sq_dist_block, SimdArch,
-    VerifySplit,
+    canonical_verify_keys, canonical_verify_keys_prefiltered, matvec, simd_arch, sq_dist_block,
+    SimdArch, VerifySplit,
 };
 pub use metrics::{overall_ratio, recall};
 pub use sq8::{lower_bound, Sq8Grid, Sq8Query, Sq8Store};

@@ -125,6 +125,7 @@ fn run(n: usize, dim: usize) {
                 &mut survivors,
                 &mut keys,
                 |id| id,
+                None,
             );
             pruned_total += p;
         }

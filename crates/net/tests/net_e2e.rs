@@ -82,6 +82,14 @@ fn tcp_answers_are_byte_identical_to_search_canonical() {
             .map(|n| (n.id, n.dist.to_bits()))
             .collect();
         assert_eq!(wire_bytes, local_bytes, "query {qi}: TCP answer diverged");
+        // `time_verification` survives the wire, both ways.
+        let timed = dblsh_core::SearchOptions {
+            time_verification: true,
+            ..Default::default()
+        };
+        let timed = client.knn_with(&q, 10, timed).expect("timed wire search");
+        assert_eq!(over_wire.stats.verify_nanos, 0, "query {qi}");
+        assert!(timed.stats.verify_nanos > 0, "query {qi}");
     }
     server.shutdown();
 }

@@ -1013,19 +1013,21 @@ fn handle_job(index: &ShardedDbLsh, metrics: &Metrics, job: Job) {
                     return;
                 }
             }
-            if opts.trace {
-                // Traced path: queue wait is everything up to this
-                // pickup; the sharded search attributes the pipeline
-                // stages; close() makes the per-stage sum equal the
-                // end-to-end latency by construction.
-                let mut trace = QueryTrace::new();
+            // A traced request: queue wait is everything up to this
+            // pickup; the sharded search attributes the pipeline stages;
+            // close() makes the per-stage sum equal the end-to-end
+            // latency by construction.
+            let mut trace = opts.trace.then(QueryTrace::new);
+            if let Some(trace) = &mut trace {
                 trace.add(Stage::Queue, enqueued.elapsed().as_nanos() as u64);
-                let result = index.search_with_trace(&query, k, &opts, &mut trace);
-                let latency = enqueued.elapsed().as_nanos() as u64;
-                match &result {
-                    Ok(res) => {
+            }
+            let result = index.fan_out(&query, k, &opts, trace.as_mut());
+            let latency = enqueued.elapsed().as_nanos() as u64;
+            match &result {
+                Ok(res) => {
+                    metrics.record_search(&metrics.knn, latency, &res.stats);
+                    if let Some(mut trace) = trace {
                         trace.close(latency);
-                        metrics.record_search(&metrics.knn, latency, &res.stats);
                         metrics.record_trace(
                             &trace,
                             SlowQuery {
@@ -1038,18 +1040,10 @@ fn handle_job(index: &ShardedDbLsh, metrics: &Metrics, job: Job) {
                             },
                         );
                     }
-                    Err(_) => metrics.errors.inc(),
                 }
-                reply.send(result);
-            } else {
-                let result = index.search_with(&query, k, &opts);
-                let latency = enqueued.elapsed().as_nanos() as u64;
-                match &result {
-                    Ok(res) => metrics.record_search(&metrics.knn, latency, &res.stats),
-                    Err(_) => metrics.errors.inc(),
-                }
-                reply.send(result);
+                Err(_) => metrics.errors.inc(),
             }
+            reply.send(result);
         }
         Job::Insert { point, reply } => {
             let result = index.insert(&point);

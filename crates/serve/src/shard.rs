@@ -49,9 +49,10 @@ use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Instant;
 
 use dblsh_core::{
-    CanonicalLadder, DbLsh, DbLshBuilder, DbLshParams, LadderPlan, ProberScratch, SearchOptions,
+    CanonicalLadder, DbLsh, DbLshBuilder, DbLshParams, LadderProber, ProberScratch, SearchOptions,
 };
 use dblsh_data::error::check_query;
 use dblsh_data::io::{SectionBuf, SnapshotReader, SnapshotWriter};
@@ -228,6 +229,23 @@ fn with_fan_out_scratch<T>(f: impl FnOnce(&mut FanOutScratch) -> T) -> T {
         Ok(mut scratch) => f(&mut scratch),
         Err(_) => f(&mut FanOutScratch::default()),
     })
+}
+
+/// One prober per locked shard for `q`, each over its own entry of the
+/// thread's scratch pool (grown on first use).
+fn shard_probers<'a>(
+    guards: &'a [RwLockReadGuard<'_, Shard>],
+    q: &'a [f32],
+    scratch: &'a mut Vec<ProberScratch>,
+    mut trace: Option<&mut QueryTrace>,
+) -> Result<Vec<LadderProber<'a>>, DbLshError> {
+    if scratch.len() < guards.len() {
+        scratch.resize_with(guards.len(), ProberScratch::default);
+    }
+    let shards = guards.iter().zip(scratch.iter_mut());
+    shards
+        .map(|(g, sc)| g.index.ladder_prober(q, sc, trace.as_deref_mut()))
+        .collect()
 }
 
 /// N independent [`DbLsh`] shards behind one global id space with a
@@ -719,24 +737,18 @@ impl ShardedDbLsh {
         k: usize,
         opts: &SearchOptions,
     ) -> Result<SearchResult, DbLshError> {
-        check_query(self.dim, q, k)?;
-        let plan = opts.plan(&self.params, k)?;
-        let mut res = with_fan_out_scratch(|scratch| self.fan_out(q, k, &plan, scratch))?;
-        if opts.skip_stats {
-            res.stats = QueryStats::default();
-        }
-        Ok(res)
+        self.fan_out(q, k, opts, None)
     }
 
     /// [`ShardedDbLsh::search_with`] with a per-stage
-    /// [`dblsh_telemetry::QueryTrace`]: projection (all shards'
-    /// query-projection + SQ8 preparation), per-round tree probing, SQ8
-    /// pre-filtering, exact verification, and the cross-shard canonical
-    /// merge (`sort_unstable` + ladder consumption,
-    /// [`Stage::Merge`]) are timed into `trace`. Answers and
-    /// [`QueryStats`] are byte-identical to the untraced path — the
-    /// serving engine flips tracing per request without perturbing
-    /// results.
+    /// [`dblsh_telemetry::QueryTrace`]: the wait for the shard read locks
+    /// ([`Stage::Queue`]), projection (all shards' query-projection + SQ8
+    /// preparation), per-round tree probing, SQ8 pre-filtering, exact
+    /// verification, and the cross-shard canonical merge (`sort_unstable`
+    /// and ladder consumption, [`Stage::Merge`]) are timed into `trace`.
+    /// It is the same code as the untraced search — only the clock reads
+    /// depend on `trace` — so the serving engine flips tracing per
+    /// request without perturbing answers or [`QueryStats`].
     pub fn search_with_trace(
         &self,
         q: &[f32],
@@ -744,108 +756,62 @@ impl ShardedDbLsh {
         opts: &SearchOptions,
         trace: &mut QueryTrace,
     ) -> Result<SearchResult, DbLshError> {
-        check_query(self.dim, q, k)?;
-        let plan = opts.plan(&self.params, k)?;
-        let mut res =
-            with_fan_out_scratch(|scratch| self.fan_out_traced(q, k, &plan, scratch, trace))?;
-        if opts.skip_stats {
-            res.stats = QueryStats::default();
-        }
-        Ok(res)
+        self.fan_out(q, k, opts, Some(trace))
     }
 
     /// The fan-out/merge kernel: probe every shard per ladder round,
     /// merge the per-shard canonical key streams, and let the
     /// [`CanonicalLadder`] consume them in global `(distance, id)` order.
-    fn fan_out(
+    /// Traced when `trace` is `Some` (the engine decides per request).
+    pub(crate) fn fan_out(
         &self,
         q: &[f32],
         k: usize,
-        plan: &LadderPlan,
-        scratch: &mut FanOutScratch,
+        opts: &SearchOptions,
+        mut trace: Option<&mut QueryTrace>,
     ) -> Result<SearchResult, DbLshError> {
-        if scratch.probers.len() < self.shards.len() {
-            scratch
-                .probers
-                .resize_with(self.shards.len(), ProberScratch::default);
+        check_query(self.dim, q, k)?;
+        let plan = opts.plan(&self.params, k)?;
+        // Time spent behind a writer (a compaction, say) is waiting
+        // before work starts, not work.
+        let lock_wait = trace.is_some().then(Instant::now);
+        let guards = self.read_all_shards()?;
+        if let (Some(trace), Some(t)) = (trace.as_deref_mut(), lock_wait) {
+            trace.add(Stage::Queue, t.elapsed().as_nanos() as u64);
         }
-        let guards: Vec<RwLockReadGuard<'_, Shard>> = self.read_all_shards()?;
-        let live: usize = guards.iter().map(|g| g.index.len()).sum();
-        let mut probers = Vec::with_capacity(guards.len());
-        for (g, sc) in guards.iter().zip(scratch.probers.iter_mut()) {
-            probers.push(g.index.ladder_prober(q, sc)?);
-        }
-        let mut ladder = CanonicalLadder::new(plan, self.params.c, k, live);
-        let mut stats = QueryStats::default();
-        let keys = &mut scratch.keys;
-        while let Some(r) = ladder.begin_round(&mut stats) {
-            keys.clear();
-            // Same threshold for every shard in the round (the k-th best
-            // exact distance seen so far, across all shards), so pruning
-            // decisions are independent of placement.
-            let prune = plan.prefilter.then(|| ladder.prune_threshold());
-            for (guard, prober) in guards.iter().zip(probers.iter_mut()) {
-                prober.probe_round(
-                    r,
-                    plan.timing,
-                    prune,
-                    &mut stats,
-                    |local| guard.global_of_local[local as usize],
-                    keys,
-                );
+        with_fan_out_scratch(|FanOutScratch { probers, keys }| {
+            let mut probers = shard_probers(&guards, q, probers, trace.as_deref_mut())?;
+            let live = guards.iter().map(|g| g.index.len()).sum();
+            let mut ladder = CanonicalLadder::new(&plan, self.params.c, k, live);
+            let mut stats = QueryStats::default();
+            while let Some(r) = ladder.begin_round(&mut stats) {
+                keys.clear();
+                // Same threshold for every shard in the round (the k-th
+                // best exact distance seen so far, across all shards), so
+                // pruning decisions are independent of placement.
+                let prune = plan.prefilter.then(|| ladder.prune_threshold());
+                for (guard, prober) in guards.iter().zip(probers.iter_mut()) {
+                    keys.extend_from_slice(prober.probe_round(
+                        r,
+                        plan.timing,
+                        prune,
+                        &mut stats,
+                        |local| guard.global_of_local[local as usize],
+                        trace.as_deref_mut(),
+                    ));
+                }
+                let merge = trace.is_some().then(Instant::now);
+                keys.sort_unstable(); // merge: global canonical order
+                ladder.consume(keys, &mut stats);
+                if let (Some(trace), Some(t)) = (trace.as_deref_mut(), merge) {
+                    trace.add(Stage::Merge, t.elapsed().as_nanos() as u64);
+                }
             }
-            keys.sort_unstable(); // merge: global canonical order
-            ladder.consume(keys, &mut stats);
-        }
-        Ok(ladder.into_result(stats))
-    }
-
-    /// [`ShardedDbLsh::fan_out`] with per-stage timing. Mirrors the
-    /// untraced kernel statement for statement — the traced prober
-    /// entry points are themselves pinned byte-identical — so only the
-    /// clock reads differ.
-    fn fan_out_traced(
-        &self,
-        q: &[f32],
-        k: usize,
-        plan: &LadderPlan,
-        scratch: &mut FanOutScratch,
-        trace: &mut QueryTrace,
-    ) -> Result<SearchResult, DbLshError> {
-        if scratch.probers.len() < self.shards.len() {
-            scratch
-                .probers
-                .resize_with(self.shards.len(), ProberScratch::default);
-        }
-        let guards: Vec<RwLockReadGuard<'_, Shard>> = self.read_all_shards()?;
-        let live: usize = guards.iter().map(|g| g.index.len()).sum();
-        let mut probers = Vec::with_capacity(guards.len());
-        for (g, sc) in guards.iter().zip(scratch.probers.iter_mut()) {
-            probers.push(g.index.ladder_prober_traced(q, sc, trace)?);
-        }
-        let mut ladder = CanonicalLadder::new(plan, self.params.c, k, live);
-        let mut stats = QueryStats::default();
-        let keys = &mut scratch.keys;
-        while let Some(r) = ladder.begin_round(&mut stats) {
-            keys.clear();
-            let prune = plan.prefilter.then(|| ladder.prune_threshold());
-            for (guard, prober) in guards.iter().zip(probers.iter_mut()) {
-                prober.probe_round_traced(
-                    r,
-                    plan.timing,
-                    prune,
-                    &mut stats,
-                    |local| guard.global_of_local[local as usize],
-                    keys,
-                    trace,
-                );
+            if opts.skip_stats {
+                stats = QueryStats::default();
             }
-            let merge_started = std::time::Instant::now();
-            keys.sort_unstable(); // merge: global canonical order
-            ladder.consume(keys, &mut stats);
-            trace.add(Stage::Merge, merge_started.elapsed().as_nanos() as u64);
-        }
-        Ok(ladder.into_result(stats))
+            Ok(ladder.into_result(stats))
+        })
     }
 
     /// One `(r, c)`-NN probe over all shards, with the canonical
@@ -866,26 +832,16 @@ impl ShardedDbLsh {
             rounds: 1,
             ..QueryStats::default()
         };
-        let guards: Vec<RwLockReadGuard<'_, Shard>> = self.read_all_shards()?;
-        with_fan_out_scratch(|scratch| {
-            if scratch.probers.len() < guards.len() {
-                scratch
-                    .probers
-                    .resize_with(guards.len(), ProberScratch::default);
-            }
-            let keys = &mut scratch.keys;
+        let guards = self.read_all_shards()?;
+        with_fan_out_scratch(|FanOutScratch { probers, keys }| {
             keys.clear();
-            for (guard, sc) in guards.iter().zip(scratch.probers.iter_mut()) {
-                let mut prober = guard.index.ladder_prober(q, sc)?;
+            let mut probers = shard_probers(&guards, q, probers, None)?;
+            for (guard, prober) in guards.iter().zip(probers.iter_mut()) {
                 // (r,c)-NN is a single exact probe with no evolving k-th
                 // best: no pre-filter (mirrors `DbLsh::r_c_nn`).
-                prober.probe_round(
-                    r,
-                    false,
-                    None,
-                    &mut stats,
-                    |local| guard.global_of_local[local as usize],
-                    keys,
+                let to_global = |local| guard.global_of_local[local as usize];
+                keys.extend_from_slice(
+                    prober.probe_round(r, false, None, &mut stats, to_global, None),
                 );
             }
             keys.sort_unstable();
@@ -1481,6 +1437,28 @@ mod tests {
         assert_eq!(stats.rounds, 1);
         let (none, _) = idx.r_c_nn(&[1e4f32; 8], 1e-9).unwrap();
         assert!(none.is_none());
+    }
+
+    #[test]
+    fn traced_search_charges_the_shard_lock_wait_to_queue() {
+        let data = cloud(200, 8, 29);
+        let idx = ShardedDbLsh::build(&data, &builder(), 2, ShardPolicy::RoundRobin).unwrap();
+        let mut trace = QueryTrace::new();
+        let (locked, is_locked) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _writer = idx.shards[1].write().unwrap();
+                locked.send(()).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(60));
+            });
+            // The search starts only once the writer holds the lock.
+            is_locked.recv().unwrap();
+            idx.search_with_trace(data.point(3), 5, &SearchOptions::default(), &mut trace)
+                .unwrap();
+        });
+        let waited_ms = trace.get(Stage::Queue) / 1_000_000;
+        assert!(waited_ms >= 20, "lock wait under Queue: {waited_ms} ms");
+        assert_eq!(trace.get(Stage::Reply), 0);
     }
 
     #[test]

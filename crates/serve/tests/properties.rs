@@ -17,7 +17,8 @@
 use std::sync::Arc;
 
 use dblsh_core::{DbLsh, DbLshParams, SearchOptions};
-use dblsh_data::{Dataset, QueryStats};
+use dblsh_data::synthetic::{gaussian_mixture, MixtureConfig};
+use dblsh_data::{Dataset, QueryStats, SearchResult};
 use dblsh_serve::{ShardPolicy, ShardedDbLsh};
 use proptest::prelude::*;
 
@@ -200,14 +201,15 @@ proptest! {
 
     /// Per-stage tracing is observation-only: the traced sharded search
     /// answers byte-identically to the untraced one — same neighbor ids,
-    /// same distance bits, same work counters — under both prefilter
-    /// settings, while the trace itself attributes real time to the
-    /// projection and tree-probe stages.
+    /// same distance bits, same work counters — for any shard count and
+    /// under both prefilter settings, while the trace itself attributes
+    /// real time, and no more than the call took, to the stages it ran.
     #[test]
     fn traced_sharded_search_is_observation_only(
         rows in distinct_rows(100, 6),
         k in 1usize..8,
         qi in 0usize..100,
+        shards in 1usize..=3,
         prefilter in prop::bool::ANY,
     ) {
         use dblsh_telemetry::{QueryTrace, Stage};
@@ -215,21 +217,27 @@ proptest! {
         let n = data.len();
         let p = params(n);
         let sharded =
-            ShardedDbLsh::build_with_params(&data, &p, 2, ShardPolicy::RoundRobin).unwrap();
+            ShardedDbLsh::build_with_params(&data, &p, shards, ShardPolicy::RoundRobin).unwrap();
         let q = data.point(qi % n).to_vec();
         let opts = SearchOptions { prefilter, ..Default::default() };
         let untraced = sharded.search_with(&q, k, &opts).unwrap();
         let mut trace = QueryTrace::new();
+        let started = std::time::Instant::now();
         let traced = sharded.search_with_trace(&q, k, &opts, &mut trace).unwrap();
+        let wall = started.elapsed().as_nanos() as u64;
         prop_assert_eq!(traced.ids(), untraced.ids());
         for (a, b) in traced.neighbors.iter().zip(&untraced.neighbors) {
             prop_assert_eq!(a.dist.to_bits(), b.dist.to_bits());
         }
         prop_assert_eq!(traced.stats.clone(), untraced.stats.clone());
-        prop_assert!(trace.get(Stage::Projection) > 0);
-        prop_assert!(trace.get(Stage::TreeProbe) > 0);
-        // nothing attributes queue or reply time below the engine
-        prop_assert_eq!(trace.get(Stage::Queue), 0);
+        prop_assert!(trace.total() <= wall, "stages {} > wall {}", trace.total(), wall);
+        for stage in [Stage::Projection, Stage::TreeProbe, Stage::Verify] {
+            prop_assert!(trace.get(stage) > 0, "{} not timed", stage.name());
+        }
+        if !prefilter {
+            prop_assert_eq!(trace.get(Stage::Prefilter), 0);
+        }
+        // reply time exists only above the engine
         prop_assert_eq!(trace.get(Stage::Reply), 0);
     }
 
@@ -253,5 +261,59 @@ proptest! {
         let loud = sharded.k_ann(&q, k).unwrap();
         prop_assert_eq!(quiet.stats, QueryStats::default());
         prop_assert_eq!(quiet.ids(), loud.ids());
+    }
+}
+
+/// `SearchOptions::time_verification` is observation-only at every entry
+/// that takes it: ids, distance bits and every counter but
+/// `verify_nanos` are equal with the flag on and off, and `verify_nanos`
+/// is reported exactly when asked for.
+#[test]
+fn time_verification_only_adds_verify_nanos() {
+    let data = gaussian_mixture(&MixtureConfig {
+        n: 1500,
+        dim: 12,
+        clusters: 10,
+        cluster_std: 1.0,
+        spread: 40.0,
+        noise_frac: 0.02,
+        seed: 5,
+    });
+    let p = params(data.len());
+    let index = DbLsh::build(Arc::new(data.clone()), &p).unwrap();
+    let fleet = |s| ShardedDbLsh::build_with_params(&data, &p, s, ShardPolicy::RoundRobin).unwrap();
+    let (one, three) = (fleet(1), fleet(3));
+    type Entry<'a> = &'a dyn Fn(&[f32], &SearchOptions) -> SearchResult;
+    let entries: [Entry; 4] = [
+        &|q, o| index.search_with(q, 10, o).unwrap(),
+        &|q, o| index.search_canonical(q, 10, o).unwrap(),
+        &|q, o| one.search_with(q, 10, o).unwrap(),
+        &|q, o| three.search_with(q, 10, o).unwrap(),
+    ];
+    let bits =
+        |r: &SearchResult| Vec::from_iter(r.neighbors.iter().map(|n| (n.id, n.dist.to_bits())));
+    for (entry, search) in entries.iter().enumerate() {
+        for (prefilter, qi) in [(true, 0), (true, 700), (false, 7), (false, 700)] {
+            let run = |time_verification| {
+                let opts = SearchOptions {
+                    prefilter,
+                    time_verification,
+                    ..Default::default()
+                };
+                search(data.point(qi), &opts)
+            };
+            let (plain, timed) = (run(false), run(true));
+            let at = format!("entry {entry}, prefilter {prefilter}, query {qi}");
+            assert_eq!(bits(&timed), bits(&plain), "{at}");
+            assert!(timed.stats.verify_nanos > 0, "{at}");
+            assert_eq!(
+                QueryStats {
+                    verify_nanos: 0,
+                    ..timed.stats
+                },
+                plain.stats,
+                "{at}"
+            );
+        }
     }
 }

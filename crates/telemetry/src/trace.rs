@@ -2,12 +2,13 @@
 //! the search pipeline, plus the fixed-capacity slow-query ring log.
 //!
 //! A [`QueryTrace`] is a stack-allocated array of per-[`Stage`]
-//! nanosecond totals. Traced entry points (`search_with_trace` on the
-//! index types, the engine's trace-enabled search path) pass
-//! `&mut QueryTrace` down the pipeline and each stage adds its elapsed
-//! time; the untraced paths never construct one, so tracing off costs
-//! nothing and perturbs nothing — the answers and `QueryStats` of an
-//! untraced search are byte-identical to a build without this module.
+//! nanosecond totals. The query pipeline is written once and takes the
+//! trace as an `Option<&mut QueryTrace>` argument: a traced caller
+//! (`ShardedDbLsh::search_with_trace`, the engine for a request with
+//! `SearchOptions::trace` set) passes `Some`, and each stage adds its
+//! elapsed time; an untraced caller passes `None`, and no clock is read.
+//! The trace decides nothing but the clock reads, so answers and
+//! `QueryStats` cannot depend on it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +20,8 @@ use std::sync::{Mutex, PoisonError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
-    /// Submission-queue wait (enqueue to worker pickup).
+    /// Waiting before work starts: the submission queue (enqueue to
+    /// worker pickup), then the shard read locks.
     Queue = 0,
     /// Query projection: `G_i(q)` matvecs plus SQ8 query preparation.
     Projection = 1,
