@@ -28,8 +28,8 @@ RULES:
     panic-free-surface   no unwrap/expect/panic!/unreachable! in the
                          non-test code of core/data/index/serve/net/telemetry
     atomic-ordering      every atomic Ordering::* carries an `// order:` comment
-    lock-order           the declared shard→wal/router and
-                         replica-write→replica-slot hierarchy has no inversions
+    lock-order           the declared shard→wal and shard→router
+                         hierarchy has no inversions
     wire-exhaustiveness  every proto.rs opcode is encoded, decoded,
                          dispatched by the server and reachable from the client
 

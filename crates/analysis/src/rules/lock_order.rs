@@ -11,10 +11,6 @@
 //!   lock is held (live-count publication), but no path may hold the
 //!   router while acquiring a shard lock — that is the PR 4 deadlock
 //!   contract that keeps reads cycle-free.
-//! - **replica-write → replica-slot**: the replicated-shard group's
-//!   write mutex is taken before any per-replica slot `RwLock`
-//!   (WAL-ordered fan-out); a slot guard must never wrap the group
-//!   mutex.
 //!
 //! The checker is lexical and per-function by construction: a guard
 //! bound with `let` lives to the end of its enclosing block, an
@@ -58,14 +54,6 @@ const WAL: Class = Class {
     name: "wal",
     kind: Kind::Mutex,
 };
-const REPLICA_WRITE: Class = Class {
-    name: "replica-write",
-    kind: Kind::Mutex,
-};
-const REPLICA_SLOT: Class = Class {
-    name: "replica-slot",
-    kind: Kind::RwLock,
-};
 
 /// How an acquisition site is recognized: as the receiver of a
 /// `.lock()`/`.read()`/`.write()` call, or as a call to a guard-returning
@@ -107,30 +95,12 @@ const CLASSES: &[(&str, &str, Via, Class)] = &[
     ),
     ("crates/serve/src/shard.rs", "log", Via::Receiver, WAL),
     ("crates/serve/src/shard.rs", "logs", Via::Receiver, WAL),
-    (
-        "crates/serve/src/replica.rs",
-        "write",
-        Via::Receiver,
-        REPLICA_WRITE,
-    ),
-    (
-        "crates/serve/src/replica.rs",
-        "lock_write",
-        Via::Helper,
-        REPLICA_WRITE,
-    ),
-    (
-        "crates/serve/src/replica.rs",
-        "index",
-        Via::Receiver,
-        REPLICA_SLOT,
-    ),
 ];
 
 /// Declared acquisition order: `(first, second)` means `first` may be
 /// held while acquiring `second`; acquiring `first` while `second` is
 /// held is an inversion.
-const ORDER: &[(Class, Class)] = &[(SHARD, WAL), (SHARD, ROUTER), (REPLICA_WRITE, REPLICA_SLOT)];
+const ORDER: &[(Class, Class)] = &[(SHARD, WAL), (SHARD, ROUTER)];
 
 #[derive(Debug)]
 struct Guard {
@@ -304,7 +274,7 @@ fn classify(
 
 /// The identifier naming the receiver whose guard method is called:
 /// `router.lock()` → `router`; `self.shards[s].write()` → `shards`;
-/// `slot.index.read()` → `index`; `self.router().x` is handled by the
+/// `wal.logs[s].lock()` → `logs`; `self.router().x` is handled by the
 /// helper table instead.
 fn receiver_ident(code: &[(usize, &crate::lexer::Token)], end: usize) -> Option<String> {
     let t = code[end].1;

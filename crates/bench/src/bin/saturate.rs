@@ -323,8 +323,7 @@ fn main() {
     // that drives them non-zero on purpose.
     println!(
         "fault path: {wal_truncations_total} WAL truncations recovered, \
-         {panics_total} worker panics contained, 0 replica quarantines \
-         (no faults injected)"
+         {panics_total} worker panics contained (no faults injected)"
     );
     assert_eq!(
         (wal_truncations_total, panics_total),

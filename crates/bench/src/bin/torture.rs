@@ -1,7 +1,7 @@
 //! Fault-injection torture harness: crash, corrupt, and panic the
 //! serving stack on a seeded schedule, then prove recovery is exact.
 //!
-//! Four phases, each asserting the recovered system answers
+//! Three phases, each asserting the recovered system answers
 //! **byte-identically** (neighbors *and* [`dblsh_data::QueryStats`]) to
 //! a never-faulted reference:
 //!
@@ -11,15 +11,13 @@
 //!   records — torn tails) by truncating copies of the log directory
 //!   and reloading. Each recovered fleet must equal the reference
 //!   holding exactly the acknowledged prefix.
-//! * **B — WAL I/O faults**: drive a [`ReplicatedShard`] through a
-//!   seeded [`WriteFaultPlan`] — `Interrupted` and short writes must be
-//!   absorbed invisibly; a hard device failure must surface as a typed
-//!   I/O error without burning an id, and the group must reopen clean.
-//! * **C — replica torture**: kill and panic replicas mid-write on a
-//!   seeded [`FaultPlan`] while traffic flows; quarantined replicas
-//!   rehydrate in the background and the group converges back to full
-//!   strength with answers equal to the reference.
-//! * **D — worker panics**: panic [`Engine`] workers mid-request via
+//! * **B — WAL I/O faults**: drive a WAL-enabled 2-shard
+//!   [`ShardedDbLsh`] through a seeded [`WriteFaultPlan`]
+//!   ([`ShardedDbLsh::set_wal_faults`]) beside a plain fleet —
+//!   `Interrupted` and short writes must be absorbed invisibly; a hard
+//!   device failure must surface as a typed I/O error that burns no id
+//!   and changes no point, and the fleet must reopen exact.
+//! * **C — worker panics**: panic [`Engine`] workers mid-request via
 //!   the chaos hook; panicked tickets resolve to the typed `Shutdown`,
 //!   the pool survives, and later answers are unchanged.
 //!
@@ -32,13 +30,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dblsh_core::{DbLsh, DbLshBuilder, SearchOptions};
+use dblsh_core::{DbLshBuilder, SearchOptions};
 use dblsh_data::synthetic::{gaussian_mixture, MixtureConfig};
 use dblsh_data::wal::WriteFaultPlan;
 use dblsh_data::{Dataset, DbLshError};
-use dblsh_serve::{
-    Engine, EngineConfig, FaultPlan, ReplicaState, ReplicatedShard, ShardPolicy, ShardedDbLsh,
-};
+use dblsh_serve::{Engine, EngineConfig, ShardPolicy, ShardedDbLsh};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -277,197 +273,78 @@ fn phase_fleet_crash_sweep(args: &Args) -> u64 {
     truncations
 }
 
-/// Lean parity check of a replica group against a plain reference.
-fn assert_group_matches(group: &ReplicatedShard, reference: &DbLsh, data: &Dataset, label: &str) {
-    assert_eq!(group.len().expect("group len"), reference.len(), "{label}");
-    assert_eq!(
-        group.id_bound() as usize,
-        reference.id_bound(),
-        "{label}: id bound"
-    );
-    for id in 0..reference.id_bound() as u32 {
-        assert_eq!(
-            group.contains(id).expect("group contains"),
-            reference.contains(id),
-            "{label}: id {id}"
-        );
-    }
-    let opts = SearchOptions::default();
-    for qi in (0..data.len()).step_by(1.max(data.len() / 7)) {
-        let q = data.point(qi);
-        let got = group.search_with(q, 9, &opts).expect("group query");
-        let want = reference.search_canonical(q, 9, &opts).expect("ref query");
-        assert_eq!(got.neighbors, want.neighbors, "{label}: query {qi}");
-        assert_eq!(got.stats, want.stats, "{label}: query {qi} stats");
-    }
-}
-
-/// Phase B: I/O faults on the group WAL itself.
-fn phase_wal_io_faults(args: &Args) {
+/// Phase B: I/O faults under a WAL-enabled fleet's logs, checked
+/// against a plain fleet fed the same writes. Returns how many hard
+/// device failures surfaced as a typed `Io` — the fault counter this
+/// phase must drive non-zero.
+fn phase_wal_io_faults(args: &Args) -> u64 {
     let start = Instant::now();
     let inserts = if args.quick { 30 } else { 80 };
     let data = mixture(140, args.seed ^ 0xB);
-    let dir = workdir("replica-io");
-    let group =
-        ReplicatedShard::create(builder().build(data.clone()).expect("build index"), 2, &dir)
-            .expect("create group");
-    let mut reference = builder().build(data.clone()).expect("build reference");
+    let dir = workdir("wal-io");
+    let fleet = ShardedDbLsh::build(&data, &builder(), 2, ShardPolicy::RoundRobin)
+        .expect("build fleet")
+        .enable_wal(&dir)
+        .expect("enable wal");
+    let reference = ShardedDbLsh::build(&data, &builder(), 2, ShardPolicy::RoundRobin)
+        .expect("build reference");
 
     // Interrupted syscalls and short writes are the OS being an OS;
     // every insert must still be acknowledged and applied.
-    group.set_wal_faults(Some(
+    fleet.set_wal_faults(Some(
         WriteFaultPlan::new(args.seed ^ 0xB1)
             .with_interrupts(0.25)
             .with_short_writes(0.25),
     ));
     for i in 0..inserts {
         let p = data.point(i % data.len()).to_vec();
-        let got = group.insert(&p).expect("insert through soft faults");
+        let got = fleet.insert(&p).expect("insert through soft faults");
         let want = reference.insert(&p).expect("reference insert");
         assert_eq!(got, want, "id diverged under soft faults");
     }
 
-    // A dead device: the append fails with a typed I/O error, no id is
-    // burnt, and the very next healthy insert gets the same id.
-    group.set_wal_faults(Some(
-        WriteFaultPlan::new(args.seed ^ 0xB2).with_hard_fail_after(0),
+    // A dead device: each log's first append tears 7 bytes into its
+    // frame and every later one fails outright. Each write is a typed I/O error
+    // that publishes nothing — no id is burnt, no point changes.
+    fleet.set_wal_faults(Some(
+        WriteFaultPlan::new(args.seed ^ 0xB2).with_hard_fail_after(7),
     ));
-    let before = group.id_bound();
+    let (len, victim) = (fleet.len(), 1);
     let p = data.point(0).to_vec();
-    match group.insert(&p) {
-        Err(DbLshError::Io { .. }) => {}
-        other => panic!("hard WAL failure must be a typed Io error, got {other:?}"),
+    let mut hard_faults = 0u64;
+    for (op, outcome) in [
+        ("insert", fleet.insert(&p).map(drop)),
+        ("remove", fleet.remove(victim).map(drop)),
+    ] {
+        match outcome {
+            Err(DbLshError::Io { .. }) => hard_faults += 1,
+            other => panic!("hard WAL failure on {op} must be a typed Io error, got {other:?}"),
+        }
     }
-    assert_eq!(
-        group.id_bound(),
-        before,
-        "failed append must not burn an id"
-    );
-    group.set_wal_faults(None);
-    let got = group.insert(&p).expect("insert after faults cleared");
+    assert_eq!(fleet.len(), len, "a failed write changed the fleet");
+    assert!(fleet.contains(victim), "a failed remove took effect");
+    fleet.set_wal_faults(None);
+    let got = fleet.insert(&p).expect("insert after faults cleared");
     let want = reference.insert(&p).expect("reference insert");
-    assert_eq!(got, want, "id after recovery");
-    assert_eq!(got, before, "the failed id is reused");
+    assert_eq!(got, want, "the failed insert burnt an id");
+    assert!(fleet.remove(victim).expect("remove after faults cleared"));
+    assert!(reference.remove(victim).expect("reference remove"));
 
-    assert_group_matches(&group, &reference, &data, "after io faults");
-    drop(group);
-    let reopened = ReplicatedShard::open(&dir, 2).expect("reopen group");
-    assert_group_matches(&reopened, &reference, &data, "after reopen");
+    assert_fleets_equal(&fleet, &reference, &data, "after io faults");
+    drop(fleet);
+    let reopened = ShardedDbLsh::load_dir(&dir).expect("reopen fleet");
+    assert_fleets_equal(&reopened, &reference, &data, "after reopen");
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
     println!(
-        "phase B  WAL I/O faults        {inserts} soft-faulted inserts + hard-fail recovery exact  ({:.1?})",
+        "phase B  WAL I/O faults        {inserts} soft-faulted inserts, {hard_faults} hard faults \
+         surfaced as typed Io, recovery exact  ({:.1?})",
         start.elapsed()
     );
+    hard_faults
 }
 
-/// Phase C: kill/panic replicas mid-write on a seeded plan while
-/// traffic flows; the group must converge back to parity. Returns the
-/// quarantine count — the fault counter this phase must drive non-zero.
-fn phase_replica_torture(args: &Args) -> u64 {
-    let start = Instant::now();
-    let steps = if args.quick { 120 } else { 400 };
-    let data = mixture(150, args.seed ^ 0xC);
-    let dir = workdir("replica-torture");
-    let group =
-        ReplicatedShard::create(builder().build(data.clone()).expect("build index"), 3, &dir)
-            .expect("create group");
-    let mut reference = builder().build(data.clone()).expect("build reference");
-
-    group.set_fault_hook(Some(
-        FaultPlan::new(args.seed ^ 0xC1)
-            .with_kills(0.04)
-            .with_panics(0.04)
-            .hook(),
-    ));
-    let opts = SearchOptions::default();
-    let mut rng = StdRng::seed_from_u64(args.seed ^ 0xC2);
-    let mut busy_retries = 0u64;
-    for _ in 0..steps {
-        match rng.gen_range(0..10) {
-            0..=4 => {
-                let p = data.point(rng.gen_range(0..data.len())).to_vec();
-                let got = group.insert(&p).expect("torture insert");
-                let want = reference.insert(&p).expect("reference insert");
-                assert_eq!(got, want, "insert id diverged under faults");
-            }
-            5..=6 => {
-                let id = rng.gen_range(0..data.len()) as u32;
-                // All replicas momentarily dead reads as the retryable
-                // `Busy`; nothing was logged, so a retry is safe.
-                loop {
-                    match group.remove(id) {
-                        Ok(got) => {
-                            let want = reference.remove(id).expect("reference remove");
-                            assert_eq!(got, want, "remove outcome diverged");
-                            break;
-                        }
-                        Err(DbLshError::Busy) => {
-                            busy_retries += 1;
-                            group.wait_idle();
-                        }
-                        Err(e) => panic!("unexpected remove error: {e:?}"),
-                    }
-                }
-            }
-            _ => {
-                let q = data.point(rng.gen_range(0..data.len()));
-                loop {
-                    match group.search_with(q, 6, &opts) {
-                        Ok(got) => {
-                            let want = reference.search_canonical(q, 6, &opts).expect("ref query");
-                            assert_eq!(got.neighbors, want.neighbors, "mid-fault answer");
-                            assert_eq!(got.stats, want.stats, "mid-fault stats");
-                            break;
-                        }
-                        Err(DbLshError::Busy) => {
-                            busy_retries += 1;
-                            group.wait_idle();
-                        }
-                        Err(e) => panic!("unexpected search error: {e:?}"),
-                    }
-                }
-            }
-        }
-    }
-
-    // Stop injecting, let in-flight rehydrations settle, and retry any
-    // that failed while the hook was still wounding their peers.
-    group.set_fault_hook(None);
-    for _ in 0..8 {
-        group.wait_idle();
-        let states = group.replica_states();
-        if states.iter().all(|s| *s == ReplicaState::Live) {
-            break;
-        }
-        for (i, s) in states.iter().enumerate() {
-            if *s == ReplicaState::Quarantined {
-                group.rehydrate(i);
-            }
-        }
-    }
-    let stats = group.stats();
-    assert_eq!(
-        stats.live, stats.replicas,
-        "group must heal to full strength"
-    );
-    assert_group_matches(&group, &reference, &data, "post-torture");
-    assert!(
-        stats.quarantines > 0,
-        "the plan must actually wound something at these rates"
-    );
-    drop(group);
-    let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "phase C  replica torture       {steps} ops, {} quarantines, {} readmissions, {busy_retries} busy retries, parity exact  ({:.1?})",
-        stats.quarantines,
-        stats.readmissions,
-        start.elapsed()
-    );
-    stats.quarantines
-}
-
-/// Phase D: panic engine workers mid-request; the pool survives and
+/// Phase C: panic engine workers mid-request; the pool survives and
 /// later answers are unchanged. Returns the contained-panic count — the
 /// fault counter this phase must drive non-zero.
 fn phase_worker_panics(args: &Args) -> u64 {
@@ -508,7 +385,7 @@ fn phase_worker_panics(args: &Args) -> u64 {
     assert_eq!(stats.errors, panics as u64, "each panic counts once");
     assert_eq!(stats.searches, searches, "every search still served");
     println!(
-        "phase D  worker panics         {panics} panics contained, {searches} searches exact  ({:.1?})",
+        "phase C  worker panics         {panics} panics contained, {searches} searches exact  ({:.1?})",
         start.elapsed()
     );
     stats.errors
@@ -543,18 +420,17 @@ fn main() {
         if args.quick { "quick" } else { "full" }
     );
     let truncations = phase_fleet_crash_sweep(&args);
-    phase_wal_io_faults(&args);
-    let quarantines = phase_replica_torture(&args);
+    let hard_faults = phase_wal_io_faults(&args);
     let panics = phase_worker_panics(&args);
     // Every injected fault class must leave a visible footprint in its
     // counter — a zero here means a fault path went dark, not that the
     // system got lucky.
     println!(
         "fault-path counters: {truncations} WAL truncations recovered, \
-         {quarantines} replica quarantines, {panics} worker panics contained"
+         {hard_faults} hard WAL faults surfaced as typed Io, {panics} worker panics contained"
     );
     assert!(truncations > 0, "torn-tail sweep recovered no truncations");
-    assert!(quarantines > 0, "replica torture quarantined nothing");
+    assert!(hard_faults > 0, "WAL I/O phase surfaced no hard fault");
     assert!(panics > 0, "worker-panic phase contained nothing");
     println!("torture: all phases exact in {:.1?}", start.elapsed());
 }

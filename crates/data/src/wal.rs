@@ -15,7 +15,7 @@
 //! magic    8 bytes  "DBLSHWAL"
 //! version  u32 LE   WAL format version (currently 1)
 //! kind     4 bytes  what the records describe (e.g. "SWAL" for a
-//!                   fleet shard's op log, "RWAL" for a replica group)
+//!                   fleet shard's op log)
 //! records  any number of:
 //!   len    u32 LE   payload byte count
 //!   crc32  u32 LE   CRC-32 (IEEE 802.3) over the payload

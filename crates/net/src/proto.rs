@@ -402,7 +402,7 @@ fn static_op(name: &str) -> &'static str {
 }
 
 fn static_lock(name: &str) -> &'static str {
-    for known in ["shard", "router", "wal", "queue", "replica", "registry"] {
+    for known in ["shard", "router", "wal", "queue", "registry"] {
         if name == known {
             return known;
         }

@@ -19,6 +19,11 @@
 //!   unsharded index over the same data, for any shard count and any
 //!   partition policy — property-tested, including through interleaved
 //!   insert/remove traffic.
+//! * **Durability** ([`ShardedDbLsh::enable_wal`]): one write-ahead log
+//!   per shard beside a fleet snapshot. [`ShardedDbLsh::load_dir`] is
+//!   crash recovery (snapshot + log replay); a
+//!   [`ShardedDbLsh::save_dir`] into the log directory is a checkpoint
+//!   that truncates the logs.
 //! * **Serving** ([`Engine`]): long-lived workers, bounded submission
 //!   queue with backpressure, per-request [`dblsh_data::QueryStats`]
 //!   aggregated into [`EngineStats`] (QPS, log₂-bucket p50/p99 latency,
@@ -50,13 +55,8 @@
 //! ```
 
 mod engine;
-mod replica;
 mod shard;
 mod walrec;
 
 pub use engine::{Engine, EngineConfig, EngineStats, LatencyHistogram, Ticket};
-pub use replica::{
-    FaultAction, FaultHook, FaultPlan, FaultSite, ReplicaState, ReplicaStats, ReplicatedShard,
-    REPLICA_WAL_KIND,
-};
 pub use shard::{CompactionPolicy, ShardPolicy, ShardedDbLsh, FLEET_SNAPSHOT_KIND, FLEET_WAL_KIND};

@@ -57,7 +57,7 @@ use dblsh_core::{
 use dblsh_data::error::check_query;
 use dblsh_data::io::{SectionBuf, SnapshotReader, SnapshotWriter};
 use dblsh_data::kernels::key_parts;
-use dblsh_data::wal::WalFile;
+use dblsh_data::wal::{WalFile, WriteFaultPlan};
 use dblsh_data::{AnnIndex, Dataset, DbLshError, Neighbor, QueryStats, SearchResult, Sq8Grid};
 use dblsh_telemetry::{QueryTrace, Stage};
 
@@ -161,7 +161,7 @@ impl CompactionPolicy {
 
 /// SplitMix64 finalizer — a fixed, dependency-free 64-bit mix.
 #[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
+fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -456,6 +456,24 @@ impl ShardedDbLsh {
             }
         }
         Ok(())
+    }
+
+    /// Fault-injection hook for the torture harness, the WAL-side
+    /// counterpart of [`crate::Engine::inject_worker_panic`]: install
+    /// (or, with `None`, clear) a seeded I/O fault plan on every shard's
+    /// log. Interrupts and short writes are absorbed by the append; a
+    /// hard failure makes the write return the typed
+    /// [`DbLshError::Io`] having published nothing — no id is burnt and
+    /// no point changes. A no-op without a WAL.
+    #[doc(hidden)]
+    pub fn set_wal_faults(&self, faults: Option<WriteFaultPlan>) {
+        if let Some(wal) = &self.wal {
+            for log in &wal.logs {
+                log.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .set_faults(faults.clone());
+            }
+        }
     }
 
     /// Enable per-shard auto-compaction: after every successful remove
@@ -961,14 +979,15 @@ impl ShardedDbLsh {
 
     /// Snapshot the whole serving fleet into a directory: one
     /// `manifest.dblsh` (shard count, partition policy, compaction
-    /// policy, and every shard's local→global id table) plus one
-    /// `shard-<i>.dblsh` index snapshot per shard ([`DbLsh::save`]).
+    /// policy, the global id space, and every shard's local→global id
+    /// table) plus one `shard-<i>.dblsh` index snapshot per shard
+    /// ([`DbLsh::save`]).
     /// All shard read locks are held for the duration, so the snapshot
     /// is a consistent point-in-time cut even under concurrent writers.
     ///
-    /// The router's `assign` table is *not* stored — it is the inverse
-    /// of the shards' id tables and is rebuilt (and cross-checked) by
-    /// [`ShardedDbLsh::load_dir`].
+    /// The router's `assign` table is *not* stored, only its length —
+    /// it is the inverse of the shards' id tables and is rebuilt (and
+    /// cross-checked) by [`ShardedDbLsh::load_dir`].
     ///
     /// Crash safety: every file is written to a `.tmp` sibling and
     /// renamed into place, and the manifest — whose id tables must
@@ -991,10 +1010,19 @@ impl ShardedDbLsh {
         let policy = self.compaction.unwrap_or_default();
         meta.put_f64(policy.dead_fraction);
         meta.put_u64(policy.min_dead_rows as u64);
-        // Trailing optional field (readers check `remaining()`, so
-        // pre-WAL manifests still parse): whether WAL files accompany
-        // this snapshot and must be replayed by `load_dir`.
-        meta.put_u8(u8::from(self.wal.is_some()));
+        // Trailing optional fields (readers check `remaining()`, so
+        // older manifests still parse). First: whether WAL files
+        // accompany this snapshot and must be replayed by `load_dir` —
+        // only in the WAL's own directory; a snapshot saved anywhere
+        // else is a copy that holds no logs.
+        let wal_here = self.wal.as_ref().is_some_and(|w| w.same_dir(dir));
+        meta.put_u8(u8::from(wal_here));
+        // Second: the global id space at the cut. Crash holes make it
+        // larger than the ids the shards claim; `load_dir` keeps those
+        // holes dead and skips every replayed insert below it. Writers
+        // publish ids under a shard write lock, so the read locks held
+        // here freeze it (shard → router is the allowed order).
+        meta.put_u64(self.router().assign.len() as u64);
         w.section(*b"META", meta);
         let mut glob = SectionBuf::new();
         for guard in &guards {
@@ -1015,11 +1043,11 @@ impl ShardedDbLsh {
         // (writers log under a shard *write* lock, so nothing can
         // slip a record in between the snapshot cut and the truncate).
         // A crash in between is benign — replay is idempotent against
-        // the newer snapshot (pre-checkpoint inserts are skipped by id,
+        // the newer snapshot (inserts below its id space are skipped,
         // re-removes are no-ops). Checkpointing into a directory other
         // than the WAL's leaves the logs alone: that snapshot is a
         // copy, not the recovery image the logs extend.
-        if let Some(wal) = self.wal.as_ref().filter(|w| w.same_dir(dir)) {
+        if let Some(wal) = self.wal.as_ref().filter(|_| wal_here) {
             for log in &wal.logs {
                 log.lock()
                     .map_err(|_| DbLshError::poisoned("wal"))?
@@ -1032,8 +1060,9 @@ impl ShardedDbLsh {
     /// Restore a fleet saved by [`ShardedDbLsh::save_dir`]: load every
     /// shard snapshot, rebuild the router's `assign` table from the
     /// shards' id tables, and cross-check the whole global id space
-    /// (every global id assigned exactly once, every shard built with
-    /// identical parameters and dimensionality). Any inconsistency —
+    /// (no global id claimed twice, no id past the saved id space
+    /// without a WAL to explain it, every shard built with identical
+    /// parameters and dimensionality). Any inconsistency —
     /// a missing or mangled file, shards from different builds mixed
     /// into one directory — is a typed [`DbLshError`].
     pub fn load_dir<P: AsRef<Path>>(dir: P) -> Result<Self, DbLshError> {
@@ -1056,8 +1085,13 @@ impl ShardedDbLsh {
             dead_fraction: meta.get_f64()?,
             min_dead_rows: meta.get_len()?,
         };
-        // Optional trailing field — absent in pre-WAL manifests.
+        // Optional trailing fields — absent in older manifests.
         let wal_enabled = meta.remaining() > 0 && meta.get_u8()? != 0;
+        let id_space = if meta.remaining() > 0 {
+            Some(meta.get_len()?)
+        } else {
+            None
+        };
         meta.finish()?;
         if shard_count == 0 {
             return Err(DbLshError::corrupt("manifest names zero shards"));
@@ -1073,6 +1107,17 @@ impl ShardedDbLsh {
             tables.push(glob.get_u32_vec(len)?);
         }
         glob.finish()?;
+        // The global id space at the checkpoint: every id below it was
+        // handed out before the cut, so the snapshot either holds it or
+        // it is a crash hole. Manifests without the field tile exactly
+        // the ids their shards claim.
+        let claimed: usize = tables.iter().map(Vec::len).sum();
+        let base_total = id_space.unwrap_or(claimed);
+        if base_total < claimed || base_total > u32::MAX as usize {
+            return Err(DbLshError::corrupt(format!(
+                "manifest id space {base_total} cannot hold the {claimed} ids its shards claim"
+            )));
+        }
 
         let mut shards: Vec<RwLock<Shard>> = Vec::with_capacity(shard_count);
         let mut params: Option<DbLshParams> = None;
@@ -1116,7 +1161,6 @@ impl ShardedDbLsh {
         // skipped — replay is idempotent. Torn final records were
         // already dropped (and physically truncated) by `WalFile::open`;
         // they were never acknowledged.
-        let base_total: usize = tables.iter().map(Vec::len).sum();
         let mut torn_tails = 0u64;
         let wal = if wal_enabled {
             let mut logs = Vec::with_capacity(shard_count);
@@ -1158,11 +1202,13 @@ impl ShardedDbLsh {
             None
         };
 
-        // Rebuild the router from the (replayed) shards' id tables.
-        // Without a WAL they must tile the global id space exactly; with
-        // one, holes past the snapshot bound are legal — a torn tail can
-        // lose shard A's final (never-acknowledged) insert while a later
-        // id from shard B survives — and stay permanently dead.
+        // Rebuild the router from the (replayed) shards' id tables. Every
+        // id is claimed at most once; unclaimed ids are holes and stay
+        // permanently dead. Holes below the checkpoint's id space were
+        // holes at the cut; past it, a torn tail can lose shard A's
+        // final (never-acknowledged) insert while a later id from shard
+        // B survives. A manifest without the id-space field admits no
+        // hole below its claimed count.
         let tables: Vec<Vec<u32>> = shards
             .iter_mut()
             .map(|l| {
@@ -1172,16 +1218,14 @@ impl ShardedDbLsh {
                     .clone()
             })
             .collect();
-        let claimed: usize = tables.iter().map(Vec::len).sum();
         let total = if wal_enabled {
             tables
                 .iter()
                 .flat_map(|t| t.iter())
                 .map(|&g| g as usize + 1)
-                .max()
-                .unwrap_or(0)
+                .fold(base_total, usize::max)
         } else {
-            claimed
+            base_total
         };
         let mut assign = vec![UNASSIGNED; total];
         for (s, table) in tables.iter().enumerate() {
@@ -1197,8 +1241,12 @@ impl ShardedDbLsh {
                 *slot = (s as u32, local as u32);
             }
         }
-        for (g, slot) in assign.iter().enumerate() {
-            if *slot == UNASSIGNED && g < base_total {
+        if id_space.is_none() {
+            if let Some(g) = assign
+                .iter()
+                .take(base_total)
+                .position(|&s| s == UNASSIGNED)
+            {
                 return Err(DbLshError::corrupt(format!(
                     "global id {g} inside the snapshot is claimed by no shard"
                 )));
@@ -1687,10 +1735,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn wal_torn_tail_loses_only_the_unacknowledged_write() {
+    /// A crash hole: a 2-shard WAL fleet over 100 points acknowledges
+    /// `a` = 100 and `b` = 101 into different shards, then the tail of
+    /// `a`'s log record is torn off. Returns the WAL directory, the
+    /// fleet recovered from it, `a`, `b` and the torn shard.
+    fn crash_hole_fleet(tag: &str) -> (PathBuf, ShardedDbLsh, u32, u32, usize) {
         let data = cloud(100, 8, 47);
-        let dir = temp_dir("wal-torn");
+        let dir = temp_dir(tag);
         let idx = ShardedDbLsh::build(&data, &builder(), 2, ShardPolicy::RoundRobin)
             .unwrap()
             .enable_wal(&dir)
@@ -1720,6 +1771,12 @@ mod tests {
         }
         let torn = torn_shard.expect("one shard logged exactly a's insert");
         let loaded = ShardedDbLsh::load_dir(&dir).unwrap();
+        (dir, loaded, a, b, torn)
+    }
+
+    #[test]
+    fn wal_torn_tail_loses_only_the_unacknowledged_write() {
+        let (dir, loaded, a, b, torn) = crash_hole_fleet("wal-torn");
         loaded.check_invariants();
         // `a` is a hole: allocated, never materialized, permanently dead.
         assert!(!loaded.contains(a), "torn insert must not survive");
@@ -1739,6 +1796,111 @@ mod tests {
         let bytes = std::fs::read(dir.join(format!("wal-{torn}.dblshwal"))).unwrap();
         let replay = dblsh_data::wal::replay_wal(&bytes[..], FLEET_WAL_KIND).unwrap();
         assert!(!replay.torn);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Checkpoint a fleet that carries a crash hole, optionally "crash"
+    /// between the manifest commit and the log truncation (the
+    /// pre-checkpoint logs stay beside the new manifest), and reload:
+    /// the hole stays dead, every acknowledged id stays live exactly
+    /// once, and the id sequence continues.
+    fn checkpoint_a_crash_hole(tag: &str, crash_before_truncate: bool) {
+        let (dir, fleet, a, b, _) = crash_hole_fleet(tag);
+        let next = fleet.insert(&[3.0; 8]).unwrap();
+        let log = |s: usize| dir.join(format!("wal-{s}.dblshwal"));
+        let logs: Vec<Vec<u8>> = (0..2).map(|s| std::fs::read(log(s)).unwrap()).collect();
+        fleet.save_dir(&dir).unwrap();
+        drop(fleet);
+        if crash_before_truncate {
+            for (s, bytes) in logs.iter().enumerate() {
+                std::fs::write(log(s), bytes).unwrap();
+            }
+        }
+        let reloaded = ShardedDbLsh::load_dir(&dir).unwrap();
+        reloaded.check_invariants();
+        assert!(!reloaded.contains(a), "the hole came back");
+        assert!(matches!(
+            reloaded.remove(a),
+            Err(DbLshError::UnknownId { .. })
+        ));
+        assert!(reloaded.contains(b) && reloaded.contains(next));
+        assert_eq!(reloaded.len(), 102);
+        assert_eq!(reloaded.insert(&[4.0; 8]).unwrap(), next + 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_after_a_crash_hole_reloads() {
+        checkpoint_a_crash_hole("hole-checkpoint", false);
+    }
+
+    #[test]
+    fn checkpoint_crash_before_wal_truncate_replays_idempotently() {
+        checkpoint_a_crash_hole("hole-untruncated", true);
+    }
+
+    #[test]
+    fn save_dir_outside_the_wal_dir_is_a_standalone_copy() {
+        let data = cloud(150, 8, 61);
+        let dir = temp_dir("wal-live");
+        let copy = temp_dir("wal-copy");
+        let idx = ShardedDbLsh::build(&data, &builder(), 3, ShardPolicy::RoundRobin)
+            .unwrap()
+            .enable_wal(&dir)
+            .unwrap();
+        for id in (0..60u32).step_by(3) {
+            assert!(idx.remove(id).unwrap());
+        }
+        for i in 0..20 {
+            idx.insert(&[i as f32 * 0.5; 8]).unwrap();
+        }
+        idx.save_dir(&copy).unwrap();
+        let loaded = ShardedDbLsh::load_dir(&copy).unwrap();
+        loaded.check_invariants();
+        assert_eq!(loaded.wal_dir(), None);
+        assert_fleets_identical(&loaded, &idx, &data);
+        // The copy left the live logs alone: they still recover it all.
+        assert_fleets_identical(&ShardedDbLsh::load_dir(&dir).unwrap(), &idx, &data);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&copy).unwrap();
+    }
+
+    #[test]
+    fn wal_io_fault_fails_the_write_without_burning_an_id() {
+        let data = cloud(120, 8, 67);
+        let dir = temp_dir("wal-iofault");
+        let idx = ShardedDbLsh::build(&data, &builder(), 2, ShardPolicy::RoundRobin)
+            .unwrap()
+            .enable_wal(&dir)
+            .unwrap();
+        let reference = ShardedDbLsh::build(&data, &builder(), 2, ShardPolicy::RoundRobin).unwrap();
+        // Interrupts and short writes are absorbed by the append.
+        idx.set_wal_faults(Some(
+            WriteFaultPlan::new(5)
+                .with_interrupts(0.3)
+                .with_short_writes(0.3),
+        ));
+        for i in 0..30 {
+            let p = data.point(i).to_vec();
+            assert_eq!(idx.insert(&p).unwrap(), reference.insert(&p).unwrap());
+        }
+        // A dead device: each write is a typed Io that publishes nothing.
+        idx.set_wal_faults(Some(WriteFaultPlan::new(6).with_hard_fail_after(0)));
+        let (len, bound) = (idx.len(), idx.router().assign.len());
+        let p = data.point(0).to_vec();
+        assert!(matches!(idx.insert(&p), Err(DbLshError::Io { .. })));
+        assert_eq!((idx.len(), idx.router().assign.len()), (len, bound));
+        assert!(matches!(idx.remove(7), Err(DbLshError::Io { .. })));
+        assert!(idx.contains(7));
+        assert_eq!(idx.len(), len);
+        // Faults cleared, the retried insert gets the id the failed one
+        // would have had, and recovery replays a clean log.
+        idx.set_wal_faults(None);
+        assert_eq!(idx.insert(&p).unwrap(), bound as u32);
+        assert_eq!(reference.insert(&p).unwrap(), bound as u32);
+        idx.check_invariants();
+        assert_fleets_identical(&idx, &reference, &data);
+        assert_fleets_identical(&ShardedDbLsh::load_dir(&dir).unwrap(), &idx, &data);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,6 @@
-//! WAL record payloads shared by the sharded fleet
-//! ([`crate::ShardedDbLsh`]) and replica groups
-//! ([`crate::ReplicatedShard`]): the schema *inside* each checksummed
-//! [`dblsh_data::wal`] record.
+//! WAL record payloads of the sharded fleet's per-shard logs
+//! ([`crate::ShardedDbLsh::enable_wal`]): the schema *inside* each
+//! checksummed [`dblsh_data::wal`] record.
 //!
 //! # Record layout (little-endian, after the container's `len | crc32`)
 //!
@@ -11,12 +10,12 @@
 //! ```
 //!
 //! `global` is the id the caller was (or would have been) acknowledged
-//! with; for a replica group, which owns a single unsharded index,
-//! global and local coincide. Replay is idempotent against a newer
-//! base snapshot: an insert whose id the snapshot already covers is
-//! skipped, and a remove of an already-removed id is a no-op — so a
-//! crash *between* a checkpoint commit and the WAL truncation that
-//! should follow it only re-applies work, never corrupts it.
+//! with; `local` is the id inside the owning shard. Replay is
+//! idempotent against a newer base snapshot: an insert whose id falls
+//! inside the snapshot's id space is skipped, and a remove of an
+//! already-removed id is a no-op — so a crash *between* a checkpoint
+//! commit and the WAL truncation that should follow it only re-applies
+//! work, never corrupts it.
 
 use dblsh_data::io::SectionCursor;
 use dblsh_data::DbLshError;

@@ -16,16 +16,12 @@
 //! rows but is never logged, so a recovered fleet replays the WAL onto
 //! an *uncompacted* snapshot while the reference compacted mid-stream —
 //! canonical answers must not be able to tell the difference.
-//!
-//! The replica property does the same for [`ReplicatedShard`]'s group
-//! WAL: reopen after a cut at any boundary or any interior byte equals
-//! the reference holding exactly the surviving records.
 
 use std::path::{Path, PathBuf};
 
 use dblsh_core::{DbLshBuilder, SearchOptions};
 use dblsh_data::Dataset;
-use dblsh_serve::{ReplicatedShard, ShardPolicy, ShardedDbLsh};
+use dblsh_serve::{ShardPolicy, ShardedDbLsh};
 use proptest::prelude::*;
 
 const DIM: usize = 6;
@@ -213,93 +209,4 @@ proptest! {
         }
     }
 
-    /// Cut a replica group's WAL at a random boundary and at a random
-    /// interior byte; reopening must land exactly on the surviving
-    /// acknowledged prefix (the group WAL is the id authority, so even
-    /// the next allocated id matches).
-    #[test]
-    fn replica_group_reopens_on_the_acknowledged_prefix(
-        rows in distinct_rows(),
-        script in prop::collection::vec((0u32..3, 0u32..10_000), 5..12),
-        cut in (0u32..10_000),
-    ) {
-        let data = Dataset::from_rows(&rows);
-        let dir = fresh_dir("replica");
-        let group = ReplicatedShard::create(
-            builder().build(data.clone()).expect("build index"),
-            2,
-            &dir,
-        )
-        .expect("create group");
-        let wal_path = dir.join("replica.dblshwal");
-
-        // Apply the script, recording the WAL length after every op and
-        // the op itself for prefix replay on the reference.
-        let mut sizes = vec![std::fs::metadata(&wal_path).expect("meta").len()];
-        let mut applied: Vec<Op> = Vec::new();
-        for (kind, raw) in &script {
-            let next_id = group.id_bound();
-            if *kind == 0 && next_id > 0 {
-                group.remove(raw % next_id).expect("remove");
-                applied.push(Op::Remove(*raw));
-            } else {
-                let p = data.point((*raw as usize) % data.len()).to_vec();
-                group.insert(&p).expect("insert");
-                applied.push(Op::Insert(p));
-            }
-            sizes.push(std::fs::metadata(&wal_path).expect("meta").len());
-        }
-        drop(group);
-
-        // Pick a crash point: a record boundary, then (when the cut op
-        // left room) an interior byte of the very next record.
-        let t = (cut as usize) % sizes.len();
-        let mut reference = builder().build(data.clone()).expect("build reference");
-        for op in &applied[..t] {
-            match op {
-                Op::Insert(p) => {
-                    reference.insert(p).expect("reference insert");
-                }
-                Op::Remove(raw) => {
-                    reference
-                        .remove(raw % reference.id_bound() as u32)
-                        .expect("reference remove");
-                }
-                _ => unreachable!(),
-            }
-        }
-        let interior = (t + 1 < sizes.len()).then(|| {
-            let growth = sizes[t + 1] - sizes[t];
-            sizes[t] + 1 + u64::from(cut) % (growth - 1).max(1)
-        });
-        // Interior cut first (it is longer than the boundary cut, and
-        // `set_len` can only shrink a file meaningfully), boundary after.
-        for len in interior.into_iter().chain(std::iter::once(sizes[t])) {
-            truncate_file(&wal_path, len);
-            let reopened = ReplicatedShard::open(&dir, 2).expect("reopen group");
-            assert_eq!(
-                reopened.id_bound() as usize,
-                reference.id_bound(),
-                "id authority diverged at cut {len}"
-            );
-            for id in 0..reference.id_bound() as u32 {
-                assert_eq!(
-                    reopened.contains(id).expect("contains"),
-                    reference.contains(id),
-                    "membership of id {id} at cut {len}"
-                );
-            }
-            let opts = SearchOptions::default();
-            for qi in [0, data.len() / 2] {
-                let q = data.point(qi);
-                let got = reopened.search_with(q, 5, &opts).expect("group query");
-                let want = reference.search_canonical(q, 5, &opts).expect("ref query");
-                assert_eq!(got.neighbors, want.neighbors, "query {qi} at cut {len}");
-                assert_eq!(got.stats, want.stats, "query {qi} stats at cut {len}");
-            }
-            // Reopening truncated the torn tail, so the boundary cut
-            // below starts from a clean prefix again.
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

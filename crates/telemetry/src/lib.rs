@@ -5,10 +5,10 @@
 //! * [`Registry`] — a unified metrics registry of named counters,
 //!   gauges, and log₂(ns) histograms behind cheap typed handles
 //!   ([`Counter`] / [`Gauge`] / [`Histo`]), with labels for
-//!   shard/replica/tenant dimensions. Registration is a mutexed cold
-//!   path; the handles are `Arc`-shared atomics, so recording is
-//!   lock-free. Core, serve, net, WAL, and replica code all register
-//!   their metrics here instead of growing bespoke atomic structs.
+//!   shard/tenant dimensions. Registration is a mutexed cold path; the
+//!   handles are `Arc`-shared atomics, so recording is lock-free. Core,
+//!   serve, net and WAL code all register their metrics here instead
+//!   of growing bespoke atomic structs.
 //! * [`QueryTrace`] + [`SlowQueryLog`] — per-stage query tracing: a
 //!   zero-alloc span recorder threaded through the search pipeline
 //!   (projection → tree probe → SQ8 prefilter → exact verify → merge →
