@@ -1,12 +1,15 @@
 //! Experiment harness reproducing every table and figure of the DB-LSH
 //! paper's evaluation (Section VI).
 //!
-//! Each table/figure has a dedicated binary under `src/bin/`; see
-//! `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md` for
-//! recorded paper-vs-measured results. The shared machinery here prepares
-//! datasets (synthetic clones of Table III via [`dblsh_data::registry`]),
-//! builds every algorithm behind one enum, and evaluates queries with the
-//! paper's metrics.
+//! Each table/figure has a dedicated binary under `src/bin/` (`table*`,
+//! `fig*`, and the `ablation_*` studies), run as
+//! `cargo run --release -p dblsh-bench --bin table4`. The shared
+//! machinery here prepares datasets (synthetic clones of Table III via
+//! [`dblsh_data::registry`]), builds every algorithm behind one enum, and
+//! evaluates queries with the paper's metrics. The one other binary,
+//! `torture`, is the crash- and fault-recovery harness of the serving
+//! layer. Performance is measured by the standing benchmark in
+//! `benchmark/`, not here.
 //!
 //! Environment knobs (all optional):
 //! * `DBLSH_SCALE` — multiplier on the per-dataset default scales (e.g.
@@ -329,155 +332,6 @@ pub fn print_rows(title: &str, rows: &[EvalRow]) {
     }
 }
 
-/// Minimal JSON emission for `BENCH_*.json` artifacts — enough for the
-/// `--json` flags of `loadgen` and `saturate` to write machine-readable
-/// throughput/latency records without any external dependency.
-pub mod json {
-    use std::fmt::Write as _;
-
-    /// A JSON value. Build with the [`obj`]/[`arr`] helpers and the
-    /// `From` impls; serialize with [`Json::to_pretty`] or write
-    /// straight to disk with [`write_json_file`].
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        Null,
-        Bool(bool),
-        /// Finite numbers only; NaN/infinity serialize as `null`
-        /// (JSON has no spelling for them).
-        Num(f64),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl From<bool> for Json {
-        fn from(v: bool) -> Json {
-            Json::Bool(v)
-        }
-    }
-    impl From<f64> for Json {
-        fn from(v: f64) -> Json {
-            Json::Num(v)
-        }
-    }
-    impl From<u64> for Json {
-        fn from(v: u64) -> Json {
-            Json::Num(v as f64)
-        }
-    }
-    impl From<usize> for Json {
-        fn from(v: usize) -> Json {
-            Json::Num(v as f64)
-        }
-    }
-    impl From<&str> for Json {
-        fn from(v: &str) -> Json {
-            Json::Str(v.to_string())
-        }
-    }
-    impl From<String> for Json {
-        fn from(v: String) -> Json {
-            Json::Str(v)
-        }
-    }
-    impl From<Vec<Json>> for Json {
-        fn from(v: Vec<Json>) -> Json {
-            Json::Arr(v)
-        }
-    }
-
-    /// An object from `(key, value)` pairs, preserving insertion order.
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// An array from anything convertible to [`Json`].
-    pub fn arr<T: Into<Json>>(items: Vec<T>) -> Json {
-        Json::Arr(items.into_iter().map(Into::into).collect())
-    }
-
-    fn escape(s: &str, out: &mut String) {
-        out.push('"');
-        for ch in s.chars() {
-            match ch {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
-    fn write_value(v: &Json, indent: usize, out: &mut String) {
-        let pad = |n: usize, out: &mut String| out.push_str(&"  ".repeat(n));
-        match v {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    out.push_str("null");
-                } else if *n == n.trunc() && n.abs() < 9.0e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => escape(s, out),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    pad(indent + 1, out);
-                    write_value(item, indent + 1, out);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                pad(indent, out);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, val)) in pairs.iter().enumerate() {
-                    pad(indent + 1, out);
-                    escape(k, out);
-                    out.push_str(": ");
-                    write_value(val, indent + 1, out);
-                    out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-                }
-                pad(indent, out);
-                out.push('}');
-            }
-        }
-    }
-
-    impl Json {
-        /// Pretty-printed JSON text (2-space indent, trailing newline).
-        pub fn to_pretty(&self) -> String {
-            let mut out = String::new();
-            write_value(self, 0, &mut out);
-            out.push('\n');
-            out
-        }
-    }
-
-    /// Write a pretty-printed JSON artifact (e.g. `BENCH_loadgen.json`).
-    pub fn write_json_file(path: &str, value: &Json) -> std::io::Result<()> {
-        std::fs::write(path, value.to_pretty())
-    }
-}
-
 /// Datasets selected via `DBLSH_DATASETS`, or the default seven.
 pub fn selected_datasets() -> Vec<PaperDataset> {
     match std::env::var("DBLSH_DATASETS") {
@@ -568,27 +422,6 @@ mod tests {
         let small = env.shrink_to(400);
         assert!(small.data.len() <= 400);
         assert_eq!(small.data.dim(), env.data.dim());
-    }
-
-    #[test]
-    fn json_emission_is_well_formed() {
-        use super::json::{arr, obj, Json};
-        let doc = obj(vec![
-            ("name", "load\"gen".into()),
-            ("qps", 1234.5.into()),
-            ("requests", 2000usize.into()),
-            ("ok", true.into()),
-            ("nan", f64::NAN.into()),
-            ("p", arr(vec![1.0f64, 2.5])),
-            ("empty", Json::Arr(vec![])),
-        ]);
-        let text = doc.to_pretty();
-        assert!(text.contains("\"load\\\"gen\""), "{text}");
-        assert!(text.contains("\"qps\": 1234.5"), "{text}");
-        assert!(text.contains("\"requests\": 2000"), "{text}");
-        assert!(text.contains("\"nan\": null"), "{text}");
-        assert!(text.contains("\"empty\": []"), "{text}");
-        assert!(text.ends_with("}\n"), "{text}");
     }
 
     #[test]

@@ -55,6 +55,23 @@ pub(crate) struct IdMaps {
     pub(crate) int_of_ext: Vec<u32>,
 }
 
+/// Bulk-load one R*-tree per projected space over `ids`, tree-parallel:
+/// tree `i` reads only column view `i` of the (immutable) store. Build,
+/// [`DbLsh::compact`] and snapshot load all pack their trees here.
+pub(crate) fn build_trees(store: &ProjStore, ids: &[u32], cap: usize) -> Vec<RStarTree> {
+    let mut trees: Vec<Option<RStarTree>> = Vec::new();
+    trees.resize_with(store.l(), || None);
+    std::thread::scope(|s| {
+        for (i, slot) in trees.iter_mut().enumerate() {
+            s.spawn(move || {
+                *slot = Some(RStarTree::bulk_load_with_capacity(&store.view(i), ids, cap));
+            });
+        }
+    });
+    // lint: allow(panic-free-surface) — thread::scope joined every tree builder, so each slot was written
+    trees.into_iter().map(|t| t.expect("tree built")).collect()
+}
+
 /// What one [`DbLsh::compact`] call reclaimed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionStats {
@@ -241,20 +258,8 @@ impl DbLsh {
         };
         let store = ProjStore::from_flat(l, k, flat);
 
-        // Phase 3: bulk-load the L trees in parallel; each reads only its
-        // own column view of the (now immutable) store.
-        let mut trees: Vec<Option<RStarTree>> = Vec::new();
-        trees.resize_with(l, || None);
-        let cap = params.node_capacity;
-        std::thread::scope(|s| {
-            for (i, slot) in trees.iter_mut().enumerate() {
-                let store = &store;
-                let ids = &ids;
-                s.spawn(move || {
-                    *slot = Some(RStarTree::bulk_load_with_capacity(&store.view(i), ids, cap));
-                });
-            }
-        });
+        // Phase 3: bulk-load the L trees in parallel.
+        let trees = build_trees(&store, &ids, params.node_capacity);
 
         // Stage-1 pre-filter state: resolve the quantization grid
         // (injected or learned over the full dataset — order-independent
@@ -277,8 +282,7 @@ impl DbLsh {
         Ok(DbLsh {
             params: params.clone(),
             hasher,
-            // lint: allow(panic-free-surface) — thread::scope joined every tree builder, so each slot was written
-            trees: trees.into_iter().map(|t| t.expect("tree built")).collect(),
+            trees,
             store,
             rows,
             maps,
@@ -548,20 +552,7 @@ impl DbLsh {
             int_of_ext,
         });
         let ids: Vec<u32> = (0..live as u32).collect();
-        let cap = self.params.node_capacity;
-        let store = &self.store;
-        let mut trees: Vec<Option<RStarTree>> = Vec::new();
-        trees.resize_with(l, || None);
-        std::thread::scope(|s| {
-            for (i, slot) in trees.iter_mut().enumerate() {
-                let ids = &ids;
-                s.spawn(move || {
-                    *slot = Some(RStarTree::bulk_load_with_capacity(&store.view(i), ids, cap));
-                });
-            }
-        });
-        // lint: allow(panic-free-surface) — thread::scope joined every tree builder, so each slot was written
-        self.trees = trees.into_iter().map(|t| t.expect("tree built")).collect();
+        self.trees = build_trees(&self.store, &ids, self.params.node_capacity);
 
         CompactionStats {
             dropped_rows: dropped,

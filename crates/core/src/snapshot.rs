@@ -48,10 +48,9 @@ use std::path::Path;
 
 use dblsh_data::io::{SectionBuf, SnapshotReader, SnapshotWriter};
 use dblsh_data::{Dataset, DbLshError, Sq8Grid, Sq8Store};
-use dblsh_index::RStarTree;
 
 use crate::hasher::GaussianHasher;
-use crate::index::{DbLsh, IdMaps, DEAD};
+use crate::index::{build_trees, DbLsh, IdMaps, DEAD};
 use crate::params::DbLshParams;
 use crate::proj_store::ProjStore;
 
@@ -77,6 +76,14 @@ const TAG_TOMB: [u8; 4] = *b"TOMB";
 /// counters, are byte-identical across save/load even after inserts
 /// extended the data beyond the build-time value range).
 const TAG_SQ8G: [u8; 4] = *b"SQ8G";
+
+/// The largest Gaussian family a snapshot may ask [`DbLsh::load`] to
+/// sample: `dim · K · L` projection coefficients, 8 bytes each (512 MiB
+/// at the cap). The file size does not bound it — one row of
+/// `dim + K·L` floats is a well-formed file — so without a cap a small
+/// CRC-valid file could demand any amount of memory. The paper's largest
+/// setting (d = 960, K = 12, L = 5) needs about 5.8·10⁴ coefficients.
+const MAX_HASHER_COEFFS: usize = 1 << 26;
 
 fn corrupt(reason: impl Into<String>) -> DbLshError {
     DbLshError::corrupt(reason)
@@ -199,6 +206,15 @@ impl DbLsh {
         meta.finish()?;
         if dim == 0 {
             return Err(corrupt("zero dimensionality"));
+        }
+        let coeffs = dim
+            .checked_mul(params.k)
+            .and_then(|v| v.checked_mul(params.l));
+        if coeffs.is_none_or(|c| c > MAX_HASHER_COEFFS) {
+            return Err(corrupt(format!(
+                "hash family of dim {dim} x K {} x L {} exceeds {MAX_HASHER_COEFFS} coefficients",
+                params.k, params.l
+            )));
         }
         if ext_len == 0 {
             return Err(corrupt("empty id space (an index always has ids)"));
@@ -361,28 +377,12 @@ impl DbLsh {
                 live_ids.len()
             )));
         }
-        let cap = params.node_capacity;
-        let mut trees: Vec<Option<RStarTree>> = Vec::new();
-        trees.resize_with(params.l, || None);
-        std::thread::scope(|s| {
-            for (i, slot) in trees.iter_mut().enumerate() {
-                let store = &store;
-                let live_ids = &live_ids;
-                s.spawn(move || {
-                    *slot = Some(RStarTree::bulk_load_with_capacity(
-                        &store.view(i),
-                        live_ids,
-                        cap,
-                    ));
-                });
-            }
-        });
+        let trees = build_trees(&store, &live_ids, params.node_capacity);
 
         Ok(DbLsh {
             params,
             hasher,
-            // lint: allow(panic-free-surface) — thread::scope joined every tree builder, so each slot was written
-            trees: trees.into_iter().map(|t| t.expect("tree built")).collect(),
+            trees,
             store,
             rows: data,
             maps,
@@ -655,6 +655,52 @@ mod tests {
             matches!(err, DbLshError::CorruptSnapshot { .. }),
             "expected CorruptSnapshot, got {err:?}"
         );
+    }
+
+    #[test]
+    fn crc_valid_snapshot_demanding_a_huge_hasher_rejected() {
+        // One row of dim = K·L = 65 536 floats is a ~512 KB well-formed
+        // file, but its hash family is dim·K·L = 2^32 f64 (32 GiB). It
+        // must be a typed error before anything that size is allocated.
+        const SIDE: usize = 1 << 16;
+        let mut w = SnapshotWriter::new(INDEX_SNAPSHOT_KIND);
+        let params = DbLshParams::paper_defaults(1).with_kl(SIDE, 1);
+        let mut prms = SectionBuf::new();
+        prms.put_f64(params.c);
+        prms.put_f64(params.w0);
+        prms.put_u64(params.k as u64);
+        prms.put_u64(params.l as u64);
+        prms.put_u64(params.t as u64);
+        prms.put_f64(params.r_min);
+        prms.put_u64(params.max_rounds as u64);
+        prms.put_u64(params.node_capacity as u64);
+        prms.put_u64(params.seed);
+        prms.put_u8(0);
+        w.section(TAG_PARAMS, prms);
+        let mut meta = SectionBuf::new();
+        meta.put_u64(SIDE as u64); // dim
+        meta.put_u64(1); // rows
+        meta.put_u64(1); // ext_len
+        meta.put_u64(1); // live
+        meta.put_u8(0); // has_maps
+        w.section(TAG_META, meta);
+        let mut rows = SectionBuf::new();
+        rows.put_f32_slice(&vec![0.0; SIDE]);
+        w.section(TAG_ROWS, rows);
+        let mut proj = SectionBuf::new();
+        proj.put_f32_slice(&vec![0.0; SIDE]); // rows * l*k
+        w.section(TAG_PROJ, proj);
+        let mut tomb = SectionBuf::new();
+        tomb.put_u64_slice(&[0]);
+        w.section(TAG_TOMB, tomb);
+        let mut bytes = Vec::new();
+        w.write_to(&mut bytes).unwrap();
+        assert!(bytes.len() < 600 * 1024, "{} bytes", bytes.len());
+        match DbLsh::load(&bytes[..]) {
+            Err(DbLshError::CorruptSnapshot { .. }) => {}
+            Err(other) => panic!("expected CorruptSnapshot, got {other:?}"),
+            Ok(_) => panic!("a 2^32-coefficient hash family loaded"),
+        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   here — on the SSE2 baseline LLVM vectorizes the fusion across rows
 //!   with six shuffles per chunk, while the scalar kernel's per-row
 //!   4-lane pattern already saturates the FP units, and the out-of-order
-//!   core overlaps consecutive rows' loads on its own (see the
-//!   `verify/sq_dist_*` criterion group).
+//!   core overlaps consecutive rows' loads on its own (the standing
+//!   benchmark's `data.kernels.sq_dist_block_ns_per_row` metric times
+//!   this kernel).
 //! * [`matvec`] computes `out[j] = a_j . x` for a row-major panel of
 //!   projection rows, two rows at a time sharing each `x` load — the
 //!   query-side `G_i(q)` projection that every LSH method in this

@@ -158,19 +158,64 @@ fn metrics_scrape_over_the_wire_reflects_traced_traffic() {
         .expect("traced knn");
     assert_eq!(plain.neighbors, traced.neighbors);
     assert_eq!(plain.stats, traced.stats);
+    // A run of traced traffic, so the closure check below compares sums
+    // over many requests against the one untraced request's slack.
+    const TRACED: usize = 200;
+    for i in 1..TRACED {
+        let q = fx.data.point(i % 400);
+        let opts = dblsh_core::SearchOptions {
+            trace: true,
+            ..Default::default()
+        };
+        client.knn_with(q, 4, opts).expect("traced knn");
+    }
+    let requests = TRACED as u64 + 1;
+    let knn_count = format!("dblsh_requests_total{{op=\"knn\"}} {requests}\n");
 
     let prom = client
         .metrics(dblsh_net::MetricsFormat::Prometheus)
         .expect("prometheus scrape");
-    for needle in [
-        "# TYPE dblsh_requests_total counter",
-        "dblsh_requests_total{op=\"knn\"} 2\n",
-        "dblsh_stage_seconds{stage=\"tree_probe\"",
-        "dblsh_live_points 400\n",
-        "dblsh_uptime_seconds",
-    ] {
+    for needle in [knn_count.as_str(), "dblsh_live_points 400\n"] {
         assert!(prom.contains(needle), "missing {needle:?} in:\n{prom}");
     }
+
+    // Golden structure: with every sample value stripped, the scrape is
+    // the committed series catalogue line for line (the series set does
+    // not depend on traffic or shard count).
+    let structure: Vec<&str> = prom
+        .lines()
+        .map(|line| match line.rsplit_once(' ') {
+            Some((series, _value)) if !line.starts_with('#') => series,
+            _ => line,
+        })
+        .collect();
+    let golden: Vec<&str> = include_str!("../../telemetry/golden/engine_scrape.prom")
+        .lines()
+        .collect();
+    assert_eq!(
+        structure, golden,
+        "scrape structure drifted from the golden"
+    );
+
+    // Trace closure: `QueryTrace::close` charges unattributed time to the
+    // reply stage, so over all-traced traffic the per-stage sums account
+    // for the engine's end-to-end latency; only the untraced request is
+    // slack.
+    let sum_of = |prefix: &str| -> f64 {
+        prom.lines()
+            .filter(|line| line.starts_with(prefix))
+            .filter_map(|line| line.rsplit_once(' ')?.1.parse::<f64>().ok())
+            .sum()
+    };
+    let request_s = sum_of("dblsh_request_seconds_sum ");
+    let stage_s = sum_of("dblsh_stage_seconds_sum{");
+    let rel = (stage_s - request_s).abs() / request_s;
+    assert!(
+        rel <= 0.10,
+        "stage sums {stage_s:.6} s vs end-to-end {request_s:.6} s ({:.1}% apart)",
+        rel * 100.0
+    );
+
     let json = client
         .metrics(dblsh_net::MetricsFormat::Json)
         .expect("json scrape");
@@ -182,9 +227,9 @@ fn metrics_scrape_over_the_wire_reflects_traced_traffic() {
 
     // Stats opcode carries the new per-opcode and uptime fields.
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.knn_requests, 2);
+    assert_eq!(stats.knn_requests, requests);
     assert_eq!(stats.rcnn_requests, 0);
-    assert_eq!(stats.searches, 2);
+    assert_eq!(stats.searches, requests);
     assert!(stats.uptime_secs > 0.0);
     assert!(stats.started_at_unix > 0);
     server.shutdown();

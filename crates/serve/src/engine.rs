@@ -27,8 +27,6 @@ use dblsh_telemetry::{
 
 use crate::shard::ShardedDbLsh;
 
-pub use dblsh_telemetry::LatencyHistogram;
-
 /// Engine sizing knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -488,8 +486,8 @@ impl Metrics {
     }
 }
 
-/// A point-in-time snapshot of the engine counters — what the `saturate`
-/// harness prints per sweep.
+/// A point-in-time snapshot of the engine counters (the `Stats` wire
+/// opcode carries it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineStats {
     /// Completed search requests — (c,k)-ANN and (r,c)-NN probes
@@ -1096,7 +1094,7 @@ mod tests {
     use crate::shard::ShardPolicy;
     use dblsh_core::DbLshBuilder;
     use dblsh_data::synthetic::{gaussian_mixture, MixtureConfig};
-    use dblsh_telemetry::bucket_of;
+    use dblsh_telemetry::{bucket_of, LatencyHistogram};
 
     fn engine(workers: usize, cap: usize) -> Engine {
         let data = gaussian_mixture(&MixtureConfig {
@@ -1171,6 +1169,11 @@ mod tests {
         let tickets: Vec<_> = (0..50).map(|i| engine.search(&[i as f32; 12], 2)).collect();
         assert!(tickets.into_iter().all(|t| t.wait().is_ok()));
         assert_eq!(engine.stats().searches, 50);
+        assert_eq!(
+            engine.stats().rejected,
+            0,
+            "blocking submission never rejects"
+        );
     }
 
     #[test]

@@ -27,8 +27,7 @@
 //! * **Serving** ([`Engine`]): long-lived workers, bounded submission
 //!   queue with backpressure, per-request [`dblsh_data::QueryStats`]
 //!   aggregated into [`EngineStats`] (QPS, log₂-bucket p50/p99 latency,
-//!   candidates verified). The `saturate` binary in `dblsh-bench` drives
-//!   it with mixed read/write workloads at increasing worker counts.
+//!   candidates verified).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -58,5 +57,5 @@ mod engine;
 mod shard;
 mod walrec;
 
-pub use engine::{Engine, EngineConfig, EngineStats, LatencyHistogram, Ticket};
+pub use engine::{Engine, EngineConfig, EngineStats, Ticket};
 pub use shard::{CompactionPolicy, ShardPolicy, ShardedDbLsh, FLEET_SNAPSHOT_KIND, FLEET_WAL_KIND};

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use dblsh_core::DbLshBuilder;
 use dblsh_data::synthetic::{gaussian_mixture, MixtureConfig};
 use dblsh_data::Dataset;
-use dblsh_serve::{Engine, EngineConfig, ShardPolicy, ShardedDbLsh};
+use dblsh_serve::{CompactionPolicy, Engine, EngineConfig, ShardPolicy, ShardedDbLsh};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -126,16 +126,22 @@ fn interleaved_insert_remove_query_under_contention() {
 }
 
 /// The same contention pattern through the [`Engine`] queue: mixed jobs
-/// from several submitter threads, one worker pool, bounded queue.
+/// from several submitter threads, one worker pool, bounded queue — plus
+/// a remover thread tombstoning most of the bulk rows, so the default
+/// [`CompactionPolicy`] compacts shards under their write locks while
+/// searches race it.
 #[test]
 fn engine_survives_mixed_traffic_and_stays_consistent() {
-    let n = 800usize;
+    let n = 1200usize;
     let data = cloud(n, 55);
-    let index = Arc::new(build(&data, 3));
+    let index = Arc::new(build(&data, 3).with_compaction_policy(CompactionPolicy::default()));
     let pre_removed: Vec<u32> = (0..n as u32).step_by(13).collect();
     for &id in &pre_removed {
         assert!(index.remove(id).unwrap());
     }
+    // 900 of the 1 200 bulk rows (400 per shard): past the default
+    // policy's 256 dead rows and 30 % in every shard.
+    let bulk_removes: Vec<u32> = (0..n as u32).filter(|id| id % 13 != 0).take(900).collect();
     let live_before = index.len();
     let engine = Engine::start(
         Arc::clone(&index),
@@ -148,6 +154,15 @@ fn engine_survives_mixed_traffic_and_stays_consistent() {
     let resurfaced = AtomicUsize::new(0);
     let net_inserted = AtomicUsize::new(0);
     std::thread::scope(|scope| {
+        {
+            let engine = &engine;
+            let bulk_removes = &bulk_removes;
+            scope.spawn(move || {
+                for &id in bulk_removes {
+                    assert!(engine.remove(id).wait().unwrap());
+                }
+            });
+        }
         for t in 0..3 {
             let engine = &engine;
             let data = &data;
@@ -191,9 +206,12 @@ fn engine_survives_mixed_traffic_and_stays_consistent() {
     assert_eq!(resurfaced.load(Ordering::Relaxed), 0);
     assert_eq!(stats.errors, 0);
     assert_eq!(stats.searches, 3 * 80);
+    assert!(index.compaction_count() > 0, "no compaction fired");
+    // No fault was injected, so no fault path may have fired.
+    assert_eq!(index.wal_truncations_recovered(), 0);
     assert_eq!(
         index.len(),
-        live_before + net_inserted.load(Ordering::Relaxed)
+        live_before - bulk_removes.len() + net_inserted.load(Ordering::Relaxed)
     );
     index.check_invariants();
 }

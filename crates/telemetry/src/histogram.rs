@@ -75,8 +75,8 @@ pub fn log2_quantile_us(counts: &[u64; BUCKETS], q: f64) -> f64 {
 
 /// A log₂(nanoseconds) latency histogram: 64 buckets, where bucket `b`
 /// counts observations in `[2^b, 2^{b+1})` ns. The exact shape behind
-/// the engine's quantiles, exposed so out-of-process harnesses (the
-/// `loadgen` bench bin measuring wire round-trips) report p50/p99 with
+/// the engine's quantiles, exposed so callers outside the engine (for
+/// example a client timing wire round-trips) report p50/p99 with
 /// identical semantics and can merge distributions exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {

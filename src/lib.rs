@@ -83,9 +83,7 @@
 //! * [`Engine`] — a long-lived worker pool draining a bounded request
 //!   queue (searches, inserts, removes) with per-request
 //!   [`QueryStats`] aggregated into [`EngineStats`] (QPS, p50/p99
-//!   latency, candidates verified). The `saturate` binary in
-//!   `dblsh-bench` drives it with mixed read/write workloads at
-//!   increasing worker counts.
+//!   latency, candidates verified).
 //!
 //! ## Durability and space reclamation
 //!
@@ -122,9 +120,7 @@
 //! the engine's bounded-queue admission control (full queue → typed
 //! `Busy` over the wire) and drains gracefully on shutdown, and a
 //! pipelined blocking [`DbLshClient`]. Answers over TCP are
-//! byte-identical to [`DbLsh::search_canonical`] on the same data. The
-//! `loadgen` binary in `dblsh-bench` replays deterministic query logs
-//! against a live server and reports QPS/p50/p99.
+//! byte-identical to [`DbLsh::search_canonical`] on the same data.
 
 pub use dblsh_core::{
     CompactionStats, DbLsh, DbLshBuilder, DbLshError, DbLshParams, GaussianHasher, SearchOptions,
