@@ -22,9 +22,10 @@
 //! the permutation (only the row order of [`DbLsh::data`] does): answers
 //! are byte-identical to an identity-order build — up to
 //! tie-breaking among exact duplicate points, whose identical projections
-//! make leaf assignment order-dependent — a property the relabel parity
-//! tests assert on distinct-point data.
+//! are split between leaves by internal id, which the permutation changes
+//! — a property the relabel parity tests assert on distinct-point data.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use dblsh_data::{Dataset, DbLshError, Sq8Grid, Sq8Store};
@@ -526,16 +527,16 @@ impl DbLsh {
         // prune decisions are byte-identical across a compaction.
         self.sq8 = self.sq8.retained(&keep);
 
-        // New projection rows, dataset rows and id maps, in one pass
-        // over `keep`.
-        let dim = self.rows.dim();
+        // The surviving dataset rows were validated on the way in, so
+        // they are copied without a second finiteness check.
+        self.rows = self.rows.reordered(&keep);
+
+        // New projection rows and id maps, in one pass over `keep`.
         let mut flat = Vec::with_capacity(live * width);
-        let mut rows = Vec::with_capacity(live * dim);
         let mut ext_of_int = Vec::with_capacity(live);
         let mut int_of_ext = vec![DEAD; self.ext_len];
         for (new_int, &old_int) in keep.iter().enumerate() {
             flat.extend_from_slice(self.store.row(old_int));
-            rows.extend_from_slice(self.rows.point(old_int as usize));
             let ext = self.to_ext(old_int);
             ext_of_int.push(ext);
             int_of_ext[ext as usize] = new_int as u32;
@@ -546,7 +547,6 @@ impl DbLsh {
         // bits of the dropped ids stay set — one bit per id is the
         // price of never recycling ids.
         self.store = ProjStore::from_flat(l, k, flat);
-        self.rows = Dataset::from_flat(dim, rows);
         self.maps = Some(IdMaps {
             ext_of_int,
             int_of_ext,
@@ -652,6 +652,14 @@ impl DbLsh {
     /// makes the very first `(r, c)`-NN probe accept points within `c*r`
     /// that are far beyond the real neighbors, which destroys recall —
     /// so the estimate is deliberately biased low.
+    ///
+    /// Cost: one blocked pass over the rows, split across the available
+    /// threads. Each block of 256 rows is read from memory once and stays
+    /// in cache while every probe's distances to it are computed (with
+    /// [`dblsh_data::kernels::sq_dist_block`], bit-identical per row to
+    /// `sq_dist`). A per-probe minimum does not depend on the order rows
+    /// are visited in, so the estimate is bit-identical to one full scan
+    /// per probe.
     pub fn estimate_r_min(data: &Dataset, params: &DbLshParams, sample: usize) -> f64 {
         let n = data.len();
         if n < 2 {
@@ -660,33 +668,61 @@ impl DbLsh {
         // Exact NN distance of up to 16 evenly spaced probes against the
         // *full* dataset. Sampling both sides instead would overestimate
         // badly on clustered data (a sparse sample sees inter-cluster
-        // distances, not NN distances). Cost: <= 16 linear scans, once,
-        // at build time.
+        // distances, not NN distances).
         let probes = sample.clamp(1, 16).min(n);
         let step = (n / probes).max(1);
-        let mut nn_dists: Vec<f64> = Vec::with_capacity(probes);
-        for i in (0..n).step_by(step).take(probes) {
-            let p = data.point(i);
-            let mut best = f64::INFINITY;
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let d = dblsh_data::dataset::sq_dist(p, data.point(j)) as f64;
-                if d > 0.0 && d < best {
-                    best = d;
-                }
+        let probe_rows: Vec<usize> = (0..n).step_by(step).take(probes).collect();
+        let threads = std::thread::available_parallelism()
+            .map(|v| v.get())
+            .unwrap_or(1)
+            .clamp(1, n.div_ceil(R_MIN_BLOCK_ROWS));
+        let rows_per = n.div_ceil(threads);
+        // best[t][p]: probe p's nearest nonzero squared distance among
+        // thread t's rows.
+        let mut best = vec![vec![f64::INFINITY; probes]; threads];
+        std::thread::scope(|s| {
+            for (t, best) in best.iter_mut().enumerate() {
+                let rows = t * rows_per..((t + 1) * rows_per).min(n);
+                let probe_rows = &probe_rows;
+                s.spawn(move || nearest_nonzero(data, probe_rows, rows, best));
             }
-            if best.is_finite() {
-                nn_dists.push(best.sqrt());
-            }
-        }
+        });
+        let mut nn_dists: Vec<f64> = (0..probes)
+            .map(|p| best.iter().map(|b| b[p]).fold(f64::INFINITY, f64::min))
+            .filter(|d| d.is_finite())
+            .map(f64::sqrt)
+            .collect();
         if nn_dists.is_empty() {
             return params.r_min;
         }
         nn_dists.sort_by(f64::total_cmp);
         let median = nn_dists[nn_dists.len() / 2];
         (median / params.c.powi(4)).max(f64::MIN_POSITIVE)
+    }
+}
+
+/// Rows per block of [`DbLsh::estimate_r_min`]'s pass: 256 rows of a
+/// 96-d dataset are 96 KiB, which stays in L2 across all 16 probes.
+const R_MIN_BLOCK_ROWS: usize = 256;
+
+/// Lower `best[p]` to the smallest nonzero squared distance from row
+/// `probe_rows[p]` to any other row in `rows`, a block at a time.
+fn nearest_nonzero(data: &Dataset, probe_rows: &[usize], rows: Range<usize>, best: &mut [f64]) {
+    let mut ids: Vec<u32> = Vec::with_capacity(R_MIN_BLOCK_ROWS);
+    let mut d2 = vec![0.0f32; R_MIN_BLOCK_ROWS];
+    for start in rows.clone().step_by(R_MIN_BLOCK_ROWS) {
+        ids.clear();
+        ids.extend(start as u32..(start + R_MIN_BLOCK_ROWS).min(rows.end) as u32);
+        let d2 = &mut d2[..ids.len()];
+        for (best, &p) in best.iter_mut().zip(probe_rows) {
+            data.sq_dists(data.point(p), &ids, d2);
+            for (&j, &d) in ids.iter().zip(d2.iter()) {
+                let d = d as f64;
+                if j as usize != p && d > 0.0 && d < *best {
+                    *best = d;
+                }
+            }
+        }
     }
 }
 
@@ -744,6 +780,67 @@ mod tests {
         let r = DbLsh::estimate_r_min(&data, &params, 100);
         assert!(r > 0.0);
         assert!(r < 1e4);
+    }
+
+    /// The estimate as 16 separate scans, one full pass per probe: the
+    /// reference the blocked pass must match bit for bit.
+    fn r_min_by_scans(data: &Dataset, params: &DbLshParams, sample: usize) -> f64 {
+        let n = data.len();
+        if n < 2 {
+            return params.r_min;
+        }
+        let probes = sample.clamp(1, 16).min(n);
+        let step = (n / probes).max(1);
+        let mut nn_dists: Vec<f64> = Vec::new();
+        for i in (0..n).step_by(step).take(probes) {
+            let mut best = f64::INFINITY;
+            for j in 0..n {
+                let d = dblsh_data::dataset::sq_dist(data.point(i), data.point(j)) as f64;
+                if i != j && d > 0.0 && d < best {
+                    best = d;
+                }
+            }
+            if best.is_finite() {
+                nn_dists.push(best.sqrt());
+            }
+        }
+        if nn_dists.is_empty() {
+            return params.r_min;
+        }
+        nn_dists.sort_by(f64::total_cmp);
+        (nn_dists[nn_dists.len() / 2] / params.c.powi(4)).max(f64::MIN_POSITIVE)
+    }
+
+    #[test]
+    fn estimate_r_min_is_bit_identical_to_per_probe_scans() {
+        let params = DbLshParams::paper_defaults(1000).with_r_min(0.75);
+        let dim = 12;
+        for n in [2usize, 15, 16, 17, 5000] {
+            let mut s = (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut value = || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 40) as f32 / (1u64 << 24) as f32 * 50.0 - 25.0
+            };
+            let distinct: Vec<f32> = (0..n * dim).map(|_| value()).collect();
+            // Rows in equal pairs: every probe's zero distance is skipped.
+            let pairs: Vec<f32> = (0..n)
+                .flat_map(|i| distinct[(i / 2) * dim..(i / 2 + 1) * dim].to_vec())
+                .collect();
+            // One repeated row: no nonzero distance at all.
+            let constant: Vec<f32> = distinct[..dim].repeat(n);
+            for flat in [distinct, pairs, constant] {
+                let data = Dataset::from_flat(dim, flat);
+                for sample in [1, 16, 100] {
+                    assert_eq!(
+                        DbLsh::estimate_r_min(&data, &params, sample).to_bits(),
+                        r_min_by_scans(&data, &params, sample).to_bits(),
+                        "n={n} sample={sample}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -141,19 +141,20 @@ impl Dataset {
         }
     }
 
-    /// A copy of this dataset with rows physically rearranged: row `i` of
-    /// the result is row `order[i]` of `self`. Values are copied from an
-    /// already-validated dataset, so no finiteness re-check is paid.
+    /// A copy of this dataset holding the rows `order` names, in that
+    /// order: row `i` of the result is row `order[i]` of `self`. Values
+    /// are copied from an already-validated dataset, so no finiteness
+    /// re-check is paid.
     ///
-    /// This is the data-layout half of locality-aware id relabeling: the
-    /// DB-LSH core computes a locality-preserving permutation of its
-    /// points at bulk build and reorders the backing rows so that
-    /// candidate verification reads near-sequential memory.
+    /// With a permutation this is the data-layout half of locality-aware
+    /// id relabeling: the DB-LSH core computes a locality-preserving
+    /// permutation of its points at bulk build and reorders the backing
+    /// rows so that candidate verification reads near-sequential memory.
+    /// With a subset it is compaction, which keeps only the live rows.
     ///
     /// # Contract
-    /// (debug-checked) `order` is a permutation of `0..self.len()`.
+    /// (debug-checked) `order` holds distinct row indexes of `self`.
     pub fn reordered(&self, order: &[u32]) -> Dataset {
-        debug_assert_eq!(order.len(), self.len(), "order length mismatch");
         debug_assert!(
             {
                 let mut seen = vec![false; self.len()];
@@ -161,7 +162,7 @@ impl Dataset {
                     (r as usize) < seen.len() && !std::mem::replace(&mut seen[r as usize], true)
                 })
             },
-            "order is not a permutation of the row indexes"
+            "order does not hold distinct row indexes"
         );
         let dim = self.dim;
         let mut data = Vec::with_capacity(order.len() * dim);
@@ -312,6 +313,9 @@ mod tests {
         assert_eq!(r.point(1), &[0.0, 1.0]);
         assert_eq!(r.point(2), &[2.0, 3.0]);
         assert_eq!(r.len(), 3);
+        // a subset keeps just the named rows
+        let kept = d.reordered(&[0, 2]);
+        assert_eq!(kept.flat(), &[0.0, 1.0, 4.0, 5.0]);
     }
 
     #[test]

@@ -118,6 +118,32 @@ impl Sq8Grid {
     pub fn step(&self) -> &[f32] {
         &self.step
     }
+
+    /// Encode one row into `codes` (both `dim` long): `codes[j]` is
+    /// `round((row[j] - min[j]) / step[j])` clamped to `[0, 255]`. Returns
+    /// whether the row clamped — some scaled value (or a NaN) rounded
+    /// outside the grid.
+    ///
+    /// Rounding is branch-free: clamp the scaled value to `[0, 255]`,
+    /// truncate, and add one when the dropped fraction (exact in `f32`) is
+    /// at least `0.5`. On the in-grid interval `(-0.5, 255.5)` that is
+    /// bit-identical to [`f32::round`] (half away from zero); outside it
+    /// the code saturates at `0` or `255`.
+    pub fn encode_row(&self, row: &[f32], codes: &mut [u8]) -> bool {
+        let dim = self.dim();
+        assert_eq!(row.len(), dim, "Sq8Grid::encode_row: dimension mismatch");
+        assert_eq!(codes.len(), dim, "Sq8Grid::encode_row: code row length");
+        let mut clamped = false;
+        for (((code, &x), &min), &step) in codes.iter_mut().zip(row).zip(&self.min).zip(&self.step)
+        {
+            let t = (x - min) / step;
+            clamped |= !((t > -0.5) & (t < 255.5));
+            let v = t.clamp(0.0, 255.0); // NaN stays NaN and casts to code 0
+            let whole = v as u8;
+            *code = whole + (v - f32::from(whole) >= 0.5) as u8;
+        }
+        clamped
+    }
 }
 
 /// SQ8 code store: one `u8` per dimension per row plus a per-row flag marking
@@ -133,20 +159,39 @@ pub struct Sq8Store {
 }
 
 impl Sq8Store {
-    /// Encode every row of `flat` (row-major, `grid.dim()` wide) against `grid`.
+    /// Encode every row of `flat` (row-major, `grid.dim()` wide) against
+    /// `grid`, in row chunks on the available threads.
     pub fn build(grid: Sq8Grid, flat: &[f32]) -> Sq8Store {
         let dim = grid.dim();
         assert_eq!(flat.len() % dim, 0, "Sq8Store::build: ragged flat data");
         let rows = flat.len() / dim;
-        let mut store = Sq8Store {
+        let mut codes = vec![0u8; rows * dim];
+        let mut clamped = vec![0u8; rows];
+        let threads = std::thread::available_parallelism()
+            .map(|v| v.get())
+            .unwrap_or(1)
+            .clamp(1, rows.max(1));
+        let rows_per = rows.div_ceil(threads).max(1);
+        std::thread::scope(|s| {
+            let chunks = codes
+                .chunks_mut(rows_per * dim)
+                .zip(clamped.chunks_mut(rows_per))
+                .zip(flat.chunks(rows_per * dim));
+            for ((codes, clamped), flat) in chunks {
+                let grid = &grid;
+                s.spawn(move || {
+                    let rows = codes.chunks_exact_mut(dim).zip(flat.chunks_exact(dim));
+                    for ((codes, row), flag) in rows.zip(clamped) {
+                        *flag = grid.encode_row(row, codes) as u8;
+                    }
+                });
+            }
+        });
+        Sq8Store {
             grid,
-            codes: Vec::with_capacity(rows * dim),
-            clamped: Vec::with_capacity(rows),
-        };
-        for row in flat.chunks_exact(dim) {
-            store.push(row);
+            codes,
+            clamped,
         }
-        store
     }
 
     /// Learn a grid from `flat` and encode every row against it.
@@ -159,22 +204,9 @@ impl Sq8Store {
     pub fn push(&mut self, point: &[f32]) {
         let dim = self.grid.dim();
         assert_eq!(point.len(), dim, "Sq8Store::push: dimension mismatch");
-        let mut clamped = false;
-        for (j, &p) in point.iter().enumerate() {
-            let t = (p - self.grid.min[j]) / self.grid.step[j];
-            let r = t.round();
-            let code = if r.is_finite() && (0.0..=255.0).contains(&r) {
-                r as u8
-            } else {
-                clamped = true;
-                if r > 255.0 {
-                    255
-                } else {
-                    0
-                }
-            };
-            self.codes.push(code);
-        }
+        let start = self.codes.len();
+        self.codes.resize(start + dim, 0);
+        let clamped = self.grid.encode_row(point, &mut self.codes[start..]);
         self.clamped.push(clamped as u8);
     }
 

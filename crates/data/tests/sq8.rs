@@ -1,8 +1,8 @@
 //! Property tests of the SQ8 quantized pre-filter: the lower bound must
 //! never exceed the exact squared distance (the soundness the pruning
-//! contract rests on), and every compiled SIMD arm of the bound scan —
-//! and of the exact kernels it gates — must be bit-identical to its
-//! scalar reference.
+//! contract rests on), every compiled SIMD arm of the bound scan — and of
+//! the exact kernels it gates — must be bit-identical to its scalar
+//! reference, and the branch-free encoder must match `f32::round`.
 
 use dblsh_data::dataset::sq_dist;
 use dblsh_data::sq8::{lower_bound, lower_bound_block, lower_bound_scalar};
@@ -240,4 +240,103 @@ fn grid_learning_is_order_independent() {
     let back = Sq8Grid::learn(dim, &permuted);
     assert_eq!(grid.min(), back.min());
     assert_eq!(grid.step(), back.step());
+}
+
+/// The encoder written with `f32::round`: the reference that
+/// [`Sq8Grid::encode_row`]'s branch-free rounding must match bit for bit.
+fn encode_by_round(grid: &Sq8Grid, row: &[f32]) -> (Vec<u8>, bool) {
+    let mut clamped = false;
+    let codes = row
+        .iter()
+        .enumerate()
+        .map(|(j, &x)| {
+            let r = ((x - grid.min()[j]) / grid.step()[j]).round();
+            if r.is_finite() && (0.0..=255.0).contains(&r) {
+                r as u8
+            } else {
+                clamped = true;
+                if r > 255.0 {
+                    255
+                } else {
+                    0
+                }
+            }
+        })
+        .collect();
+    (codes, clamped)
+}
+
+/// Every rounding boundary `k ± 0.5` of the grid, one ulp either side of
+/// it, the ends `-0.5` / `255.5`, `±0.0` and values far off the grid, on
+/// an exact unit grid and on grids whose steps are not representable.
+#[test]
+fn encode_row_matches_f32_round() {
+    let grids = [
+        (0.0f32, 1.0f32),
+        (-3.7, 0.1),
+        (1e-3, 1.0 / 3.0),
+        (-1e6, 7.77e3),
+        (42.0, 3.0e-7),
+    ];
+    for (min, step) in grids {
+        let grid = Sq8Grid::from_parts(vec![min], vec![step]).unwrap();
+        let mut xs = vec![0.0f32, -0.0, min, -1e30, 1e30, f32::MIN, f32::MAX];
+        for k in 0..=256 {
+            for t in [k as f32 - 0.5, k as f32, k as f32 + 0.5] {
+                let x = min + t * step;
+                xs.extend([x.next_down(), x, x.next_up()]);
+            }
+        }
+        let mut got = [0u8];
+        for x in xs {
+            let clamped = grid.encode_row(&[x], &mut got);
+            let (want, want_clamped) = encode_by_round(&grid, &[x]);
+            assert_eq!(
+                (got.to_vec(), clamped),
+                (want, want_clamped),
+                "x = {x:e} on grid min {min}, step {step}"
+            );
+        }
+    }
+    // On the unit grid the scaled value is the input itself.
+    let unit = Sq8Grid::from_parts(vec![0.0], vec![1.0]).unwrap();
+    let mut got = [0u8];
+    for (x, code, clamped) in [
+        (-0.5f32, 0u8, true),
+        ((-0.5f32).next_up(), 0, false),
+        (-0.0, 0, false),
+        (0.5, 1, false),
+        (0.5f32.next_down(), 0, false),
+        (254.5, 255, false),
+        (255.5f32.next_down(), 255, false),
+        (255.5, 255, true),
+    ] {
+        assert_eq!(unit.encode_row(&[x], &mut got), clamped, "x = {x}");
+        assert_eq!(got[0], code, "x = {x}");
+    }
+}
+
+/// Multi-dimensional rows: one out-of-grid coordinate flags the whole
+/// row, and `build` (chunked across threads) and `push` agree with the
+/// reference row for row.
+#[test]
+fn build_and_push_encode_like_the_reference() {
+    let dim = 7;
+    let flat = matrix(1000, dim, 3.0, 1, 5);
+    let mut store = Sq8Store::learn_and_build(dim, &flat);
+    let mut far = flat[..dim].to_vec();
+    far[4] = 1e4;
+    store.push(&far);
+    store.push(&flat[dim..2 * dim]);
+    let rows: Vec<&[f32]> = flat
+        .chunks_exact(dim)
+        .chain([&far[..], &flat[dim..2 * dim]])
+        .collect();
+    assert_eq!(store.len(), rows.len());
+    for (id, row) in rows.into_iter().enumerate() {
+        let (codes, clamped) = encode_by_round(store.grid(), row);
+        assert_eq!(store.codes_row(id as u32), &codes[..], "row {id}");
+        assert_eq!(store.is_clamped(id as u32), clamped, "row {id}");
+    }
+    assert!(store.is_clamped(1000) && !store.is_clamped(1001));
 }

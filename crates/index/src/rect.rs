@@ -281,13 +281,12 @@ pub(crate) mod geom {
     /// Grow box `(lo, hi)` in place to cover box `(plo, phi)`.
     #[inline]
     pub fn enlarge(lo: &mut [f32], hi: &mut [f32], plo: &[f32], phi: &[f32]) {
-        for i in 0..lo.len() {
-            if plo[i] < lo[i] {
-                lo[i] = plo[i];
-            }
-            if phi[i] > hi[i] {
-                hi[i] = phi[i];
-            }
+        // Selects, not conditional stores: they compile to branch-free
+        // min/max, which keeps bulk loading's per-point MBR sweep free of
+        // mispredicted branches.
+        for (((lo, hi), &plo), &phi) in lo.iter_mut().zip(hi.iter_mut()).zip(plo).zip(phi) {
+            *lo = if plo < *lo { plo } else { *lo };
+            *hi = if phi > *hi { phi } else { *hi };
         }
     }
 
