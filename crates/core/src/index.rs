@@ -1,10 +1,50 @@
 //! Index construction (paper Section IV-B) and dynamic maintenance:
 //! project the dataset into `L` K-dimensional spaces — all into one
-//! shared [`ProjStore`] row per point — bulk-load one id-only R*-tree per
-//! space over the store's column views, and keep the trees in sync under
-//! point insertions and removals — the update path the paper's dynamic
-//! bucketing makes possible ("DB-LSH naturally supports updates since the
-//! R*-tree is a dynamic structure").
+//! shared [`ProjStore`] row per point — and bulk-load one id-only R*-tree
+//! per space over the store's column views. Trees are never modified;
+//! the paper's dynamic updates ("DB-LSH naturally supports updates") are
+//! appends and tombstones over immutable segments (below).
+//!
+//! # Segments: a bulk-loaded main, geometric delta levels, a scanned tail
+//!
+//! Every internal row lives in exactly one segment, and rows append in id
+//! order, so each segment is a contiguous internal-id range:
+//!
+//! * **main** — `L` trees bulk-loaded at build, load, fold and compact;
+//! * **delta levels** — `L` trees each, bulk-loaded over a run of newer
+//!   rows. Levels form a binary counter over tail-sized runs: a flushed
+//!   tail absorbs every newest level of its own size, doubling each time,
+//!   and is bulk-loaded once, so level sizes strictly decrease;
+//! * **tail** — fewer than `node_capacity²` of the newest rows, in no
+//!   tree: a query sweeps them with the inward-rounded window test of a
+//!   leaf scan ([`dblsh_index::WindowScratch::scan`]).
+//!
+//! An insert appends the row, its SQ8 code, its id-map entries and its
+//! projection row, nothing else, except when the delta outgrows one of
+//! two caps, both derived from `node_capacity` (`c`):
+//!
+//! * once the tail holds `c²` rows — one full two-level tree — it is
+//!   bulk-loaded into the levels on the calling thread;
+//! * once the delta (tail rows plus ids in level trees) exceeds main's ids
+//!   divided by [`FOLD_PER_CAP`]` · c`, the insert *folds*: main is
+//!   bulk-loaded over every live row and the levels are dropped.
+//!
+//! The fold cap is what a query can afford: every delta row costs each
+//! probe one window test that main's leaf boxes would mostly have spared
+//! it. Measured on a 2-vCPU x86_64 host over 5 000 and 20 000 clustered
+//! rows, a delta at this cap adds under 5 % to the median canonical
+//! query. Small indexes therefore fold
+//! often (cheaply); on large ones the levels keep folds rare. A remove
+//! sets the tombstone bit and touches no tree: every rebuild covers live
+//! ids only, and queries skip tombstoned ids before counting them.
+//! [`DbLsh::compact`] is a fold that also drops the dead rows — the only
+//! place rows move.
+//!
+//! Canonical answers depend only on each round's window candidate *sets*,
+//! and the union over segments of a window's live ids is the window over
+//! one tree of the live rows, so a grown index answers
+//! [`DbLsh::search_canonical`] exactly like a fresh build over its live
+//! points.
 //!
 //! # Internal vs external id space
 //!
@@ -56,21 +96,58 @@ pub(crate) struct IdMaps {
     pub(crate) int_of_ext: Vec<u32>,
 }
 
-/// Bulk-load one R*-tree per projected space over `ids`, tree-parallel:
-/// tree `i` reads only column view `i` of the (immutable) store. Build,
-/// [`DbLsh::compact`] and snapshot load all pack their trees here.
+/// A fold starts once the delta holds more rows than main holds divided
+/// by `FOLD_PER_CAP * node_capacity` (module docs).
+const FOLD_PER_CAP: usize = 6;
+
+/// Id count from which [`build_trees`] loads the `L` trees on threads of
+/// their own; below it the spawns would cost more than they save.
+const PARALLEL_BUILD_MIN_IDS: usize = 4096;
+
+/// Bulk-load one R*-tree per projected space over `ids`: tree `i` reads
+/// only column view `i` of the (immutable) store. Large builds run
+/// tree-parallel. Build, every segment rebuild and snapshot load pack
+/// their trees here.
 pub(crate) fn build_trees(store: &ProjStore, ids: &[u32], cap: usize) -> Vec<RStarTree> {
+    let load = |i: usize| RStarTree::bulk_load_with_capacity(&store.view(i), ids, cap);
+    if ids.len() < PARALLEL_BUILD_MIN_IDS {
+        return (0..store.l()).map(load).collect();
+    }
     let mut trees: Vec<Option<RStarTree>> = Vec::new();
     trees.resize_with(store.l(), || None);
     std::thread::scope(|s| {
         for (i, slot) in trees.iter_mut().enumerate() {
-            s.spawn(move || {
-                *slot = Some(RStarTree::bulk_load_with_capacity(&store.view(i), ids, cap));
-            });
+            s.spawn(move || *slot = Some(load(i)));
         }
     });
     // lint: allow(panic-free-surface) — thread::scope joined every tree builder, so each slot was written
     trees.into_iter().map(|t| t.expect("tree built")).collect()
+}
+
+/// One run of internal rows and its `L` immutable trees, which hold the
+/// ids of the run that were live when they were bulk-loaded (module docs).
+#[derive(Debug)]
+pub(crate) struct Segment {
+    /// The internal ids this segment covers.
+    pub(crate) rows: Range<u32>,
+    /// One tree per projected space.
+    pub(crate) trees: Vec<RStarTree>,
+    /// Ids the trees hold.
+    pub(crate) held: usize,
+    /// Ids the trees hold that have been removed since they were loaded.
+    pub(crate) dead_held: usize,
+}
+
+impl Segment {
+    /// A segment over `rows` whose trees hold exactly `ids`.
+    pub(crate) fn new(rows: Range<u32>, store: &ProjStore, ids: &[u32], cap: usize) -> Self {
+        Segment {
+            rows,
+            trees: build_trees(store, ids, cap),
+            held: ids.len(),
+            dead_held: 0,
+        }
+    }
 }
 
 /// What one [`DbLsh::compact`] call reclaimed.
@@ -95,14 +172,17 @@ pub struct CompactionStats {
 /// through [`DbLsh::insert`] and [`DbLsh::remove`].
 ///
 /// Internally the index is **flat**: every point's `L` projections live
-/// in one row of the shared [`ProjStore`], and the `L` R*-trees store
-/// only `u32` ids, resolving coordinates through per-tree column views of
-/// the store. See the [`crate::proj_store`] module docs for the layout.
+/// in one row of the shared [`ProjStore`], and the R*-trees store only
+/// `u32` ids, resolving coordinates through per-tree column views of the
+/// store. See the [`crate::proj_store`] module docs for the layout.
 ///
-/// Removed points are *tombstoned*: their rows stay in the backing
-/// [`Dataset`] and in the projection store (ids are stable row indexes)
-/// but they are deleted from all `L` trees, so no query ever returns
-/// them. [`DbLsh::len`] counts live points only.
+/// Writes append and trees never change: an insert appends the point's
+/// row, and rows are indexed by a bulk-loaded main, geometric delta
+/// levels and a short scanned tail (module docs). Removed points are
+/// *tombstoned*: their rows stay in the rows, the projection store and
+/// the trees until a rebuild or [`DbLsh::compact`] drops them, and every
+/// query skips them, so no query ever returns them. [`DbLsh::len`]
+/// counts live points only.
 ///
 /// All ids on this public surface — arguments to [`DbLsh::remove`] /
 /// [`DbLsh::contains`] / [`DbLsh::point`], return values of
@@ -114,7 +194,9 @@ pub struct CompactionStats {
 pub struct DbLsh {
     pub(crate) params: DbLshParams,
     pub(crate) hasher: GaussianHasher,
-    pub(crate) trees: Vec<RStarTree>,
+    /// Main, then the delta levels, oldest first: they tile the internal
+    /// rows up to the tail (module docs). Never empty.
+    pub(crate) segments: Vec<Segment>,
     pub(crate) store: ProjStore,
     /// The point rows in *internal* (store/tree) order — the index's
     /// only copy of the vectors, read by candidate verification and
@@ -259,8 +341,8 @@ impl DbLsh {
         };
         let store = ProjStore::from_flat(l, k, flat);
 
-        // Phase 3: bulk-load the L trees in parallel.
-        let trees = build_trees(&store, &ids, params.node_capacity);
+        // Phase 3: bulk-load main's L trees (in parallel when large).
+        let main = Segment::new(0..n as u32, &store, &ids, params.node_capacity);
 
         // Stage-1 pre-filter state: resolve the quantization grid
         // (injected or learned over the full dataset — order-independent
@@ -283,7 +365,7 @@ impl DbLsh {
         Ok(DbLsh {
             params: params.clone(),
             hasher,
-            trees,
+            segments: vec![main],
             store,
             rows,
             maps,
@@ -363,9 +445,94 @@ impl DbLsh {
     }
 
     /// Per-tree structure statistics (node counts, entry counts, arena
-    /// bytes) — the tree side of [`DbLsh::memory_breakdown`].
+    /// bytes), one entry per projected space summed over every segment —
+    /// the tree side of [`DbLsh::memory_breakdown`].
     pub fn tree_stats(&self) -> Vec<dblsh_index::TreeStats> {
-        self.trees.iter().map(|t| t.stats()).collect()
+        (0..self.params.l)
+            .map(|i| {
+                let mut sum = dblsh_index::TreeStats {
+                    nodes: 0,
+                    leaf_entries: 0,
+                    inner_entries: 0,
+                    structure_bytes: 0,
+                };
+                for seg in &self.segments {
+                    let s = seg.trees[i].stats();
+                    sum.nodes += s.nodes;
+                    sum.leaf_entries += s.leaf_entries;
+                    sum.inner_entries += s.inner_entries;
+                    sum.structure_bytes += s.structure_bytes;
+                }
+                sum
+            })
+            .collect()
+    }
+
+    /// Rows per tail flush: one full two-level tree's worth,
+    /// `node_capacity` leaves of `node_capacity` rows.
+    #[inline]
+    fn run_rows(&self) -> usize {
+        self.params.node_capacity * self.params.node_capacity
+    }
+
+    /// The internal ids of the tail: the newest rows, in no tree.
+    #[inline]
+    pub(crate) fn tail(&self) -> Range<u32> {
+        let start = self.segments.last().map_or(0, |seg| seg.rows.end);
+        start..self.store.len() as u32
+    }
+
+    /// Whether the row with internal id `internal` is live.
+    #[inline]
+    pub(crate) fn is_live_row(&self, internal: u32) -> bool {
+        !self.is_removed(self.to_ext(internal))
+    }
+
+    /// A segment over `rows` whose trees hold the live ids among them.
+    fn segment_over(&self, rows: Range<u32>) -> Segment {
+        let ids: Vec<u32> = rows.clone().filter(|&i| self.is_live_row(i)).collect();
+        Segment::new(rows, &self.store, &ids, self.params.node_capacity)
+    }
+
+    /// Rows the delta makes a probe test, per projected space: every
+    /// tail row, and every id the levels' trees hold.
+    fn delta_rows(&self) -> usize {
+        let levels: usize = self.segments[1..].iter().map(|seg| seg.held).sum();
+        self.tail().len() + levels
+    }
+
+    /// After an append: fold once the delta outgrows its share of main,
+    /// else bulk-load a full tail into the levels (module docs).
+    fn settle(&mut self) {
+        let cap = self.params.node_capacity;
+        if self.delta_rows() * FOLD_PER_CAP * cap > self.segments[0].held {
+            self.fold();
+        } else if self.tail().len() >= self.run_rows() {
+            self.flush_tail();
+        }
+    }
+
+    /// Bulk-load the full tail as the newest level, together with every
+    /// newest level of its size (the binary counter of the module docs).
+    fn flush_tail(&mut self) {
+        let run = self.tail();
+        let mut start = run.start;
+        while self.segments.len() > 1 {
+            let newest = &self.segments[self.segments.len() - 1];
+            if newest.rows.len() != (run.end - start) as usize {
+                break;
+            }
+            start = newest.rows.start;
+            self.segments.pop();
+        }
+        let level = self.segment_over(start..run.end);
+        self.segments.push(level);
+    }
+
+    /// Bulk-load main over every live row and drop the levels and the
+    /// tail; rows stay where they are.
+    fn fold(&mut self) {
+        self.segments = vec![self.segment_over(0..self.store.len() as u32)];
     }
 
     /// Number of live indexed points (insertions minus removals).
@@ -404,10 +571,11 @@ impl DbLsh {
         self.removed[(id / 64) as usize] & (1u64 << (id % 64)) != 0
     }
 
-    /// Insert one point: append its row to the index's rows and the
-    /// projection store, then insert the id into every tree (R\*
-    /// insertion with forced reinsertion). Returns the new point's id —
-    /// [`DbLsh::id_bound`] before the call.
+    /// Insert one point: append its row, its SQ8 code, its id-map entries
+    /// and its projection row. No tree changes, except when the delta
+    /// reaches a cap and the insert flushes the tail into the delta
+    /// levels or folds everything into main (module docs). Returns the new
+    /// point's id — [`DbLsh::id_bound`] before the call.
     pub fn insert(&mut self, point: &[f32]) -> Result<u32, DbLshError> {
         // DEAD (u32::MAX) is reserved as the dropped-row sentinel, so the
         // largest usable id is u32::MAX - 1.
@@ -440,25 +608,20 @@ impl DbLsh {
             self.to_int(id),
             "store rows out of step with the id maps"
         );
-        let store = &self.store;
-        for (i, tree) in self.trees.iter_mut().enumerate() {
-            tree.insert(&store.view(i), store_id);
-        }
         if self.removed.len() * 64 <= id as usize {
             self.removed.push(0);
         }
         self.live += 1;
         self.ext_len += 1;
+        self.settle();
         Ok(id)
     }
 
-    /// Remove the point `id` from all `L` trees, tombstoning its dataset
-    /// row. Returns `Ok(true)` if the point was live, `Ok(false)` if it
-    /// had already been removed, and `Err(UnknownId)` if `id` never named
-    /// a point of this index.
-    ///
-    /// The removal descends each tree guided by the id's stored
-    /// projection row — no re-projection work is done.
+    /// Remove the point `id`: set its tombstone bit. No tree changes;
+    /// queries skip the id from now on, and the next rebuild of its
+    /// segment (or [`DbLsh::compact`]) leaves it out. Returns `Ok(true)`
+    /// if the point was live, `Ok(false)` if it had already been removed,
+    /// and `Err(UnknownId)` if `id` never named a point of this index.
     pub fn remove(&mut self, id: u32) -> Result<bool, DbLshError> {
         if id as usize >= self.ext_len {
             return Err(DbLshError::UnknownId { id });
@@ -466,14 +629,12 @@ impl DbLsh {
         if self.is_removed(id) {
             return Ok(false);
         }
+        // A live row outside the tail is held by its segment's trees: it
+        // was live when they were loaded, and ids never come back.
         let internal = self.to_int(id);
-        let store = &self.store;
-        for (i, tree) in self.trees.iter_mut().enumerate() {
-            let found = tree.remove(&store.view(i), internal);
-            debug_assert!(
-                found,
-                "live id {id} (internal {internal}) missing from tree {i}"
-            );
+        let seg = self.segments.partition_point(|s| s.rows.end <= internal);
+        if let Some(seg) = self.segments.get_mut(seg) {
+            seg.dead_held += 1;
         }
         self.removed[(id / 64) as usize] |= 1u64 << (id % 64);
         self.live -= 1;
@@ -482,9 +643,10 @@ impl DbLsh {
 
     /// Reclaim the space of every tombstoned row: rewrite the projection
     /// store, the dataset rows and the id maps without the dead rows, and
-    /// rebuild the `L` trees over the compacted store through the bulk
-    /// path. External ids are **preserved** — live points keep the ids
-    /// they had, dead ids stay dead forever (never recycled) — and
+    /// bulk-load one main over the compacted store — a fold that also
+    /// drops the dead rows, leaving no levels and no tail. External ids
+    /// are **preserved** — live points keep the ids they had, dead ids
+    /// stay dead forever (never recycled) — and
     /// canonical-mode query answers ([`DbLsh::search_canonical`]) are
     /// byte-identical before and after, because per-round window
     /// candidate *sets* and per-row distances are unchanged. (The classic
@@ -496,13 +658,17 @@ impl DbLsh {
     /// locality of a relabeled build survives compaction, and every
     /// structure is rewritten once, in that one order.
     ///
-    /// No-op (and cheap) when there are no dead rows. Cost otherwise is
-    /// `O(n)` copying plus the `L` parallel bulk loads — comparable to a
-    /// fresh build minus all projection work.
+    /// With no dead rows it only folds (a no-op on an index that is one
+    /// main already). Cost otherwise is `O(n)` copying plus the `L`
+    /// parallel bulk loads — comparable to a fresh build minus all
+    /// projection work.
     pub fn compact(&mut self) -> CompactionStats {
         let dropped = self.dead_rows();
         let live = self.live;
         if dropped == 0 {
+            if self.segments.len() > 1 || !self.tail().is_empty() {
+                self.fold();
+            }
             return CompactionStats {
                 dropped_rows: 0,
                 live_rows: live,
@@ -552,7 +718,12 @@ impl DbLsh {
             int_of_ext,
         });
         let ids: Vec<u32> = (0..live as u32).collect();
-        self.trees = build_trees(&self.store, &ids, self.params.node_capacity);
+        self.segments = vec![Segment::new(
+            0..live as u32,
+            &self.store,
+            &ids,
+            self.params.node_capacity,
+        )];
 
         CompactionStats {
             dropped_rows: dropped,
@@ -564,11 +735,14 @@ impl DbLsh {
     /// Verify cross-structure invariants: the store mirrors the dataset
     /// row for row, the id maps are mutually inverse over the physical
     /// rows (with every compacted-away id tombstoned and mapped to the
-    /// dead sentinel), every tree holds exactly the live (internal) ids,
-    /// at exactly the coordinates the hasher assigns their rows, and
-    /// satisfies its own R\* invariants. Panics with a
-    /// description on violation. Exposed for tests and debugging; cost
-    /// is `O(L * n * (K * d + log n))`.
+    /// dead sentinel), the segments tile the rows from row 0 with the
+    /// levels in binary-counter sizes and fewer than `node_capacity²` rows
+    /// left in the tail, each segment's trees hold exactly the ids of its
+    /// rows that were live when they were loaded (the live ones plus its
+    /// count of since-removed ones), at exactly the coordinates the hasher
+    /// assigns their rows, and every tree satisfies its own R\*
+    /// invariants. Panics with a description on violation. Exposed for
+    /// tests and debugging; cost is `O(L * n * (K * d + log n))`.
     pub fn check_invariants(&self) {
         let rows = self.store.len();
         assert_eq!(
@@ -617,30 +791,65 @@ impl DbLsh {
                 "sq8 codes do not encode the internal row order"
             );
         }
-        let live_ids: Vec<u32> = {
-            let mut v: Vec<u32> = (0..self.ext_len as u32)
-                .filter(|&ext| !self.is_removed(ext))
-                .map(|ext| self.to_int(ext))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(live_ids.len(), self.live, "live counter out of sync");
-        let mut proj = vec![0.0f64; self.params.k];
-        for (i, tree) in self.trees.iter().enumerate() {
-            let view = self.store.view(i);
-            tree.check_invariants(&view);
-            assert_eq!(tree.len(), self.live, "tree {i} size != live count");
-            let mut ids: Vec<u32> = tree.iter_points(&view).map(|(id, _)| id).collect();
-            ids.sort_unstable();
-            assert_eq!(ids, live_ids, "tree {i} does not hold exactly the live ids");
-            for (id, coords) in tree.iter_points(&view) {
-                self.hasher
-                    .project_into(i, self.rows.point(id as usize), &mut proj);
+        let live_count = (0..self.ext_len as u32)
+            .filter(|&ext| !self.is_removed(ext))
+            .count();
+        assert_eq!(live_count, self.live, "live counter out of sync");
+        let cap = self.run_rows();
+        let mut next = 0u32;
+        for (s, seg) in self.segments.iter().enumerate() {
+            assert_eq!(seg.rows.start, next, "segment {s} leaves a gap or overlaps");
+            assert!(seg.rows.start <= seg.rows.end, "segment {s} is inverted");
+            next = seg.rows.end;
+            if s > 0 {
+                let size = seg.rows.len();
                 assert!(
-                    coords.iter().zip(&proj).all(|(&c, &p)| c == p as f32),
-                    "tree {i} stores internal id {id} at stale coordinates"
+                    size % cap == 0 && (size / cap).is_power_of_two(),
+                    "level {s} spans {size} rows, not a power of two of tail runs"
                 );
+                if s > 1 {
+                    assert!(
+                        size < self.segments[s - 1].rows.len(),
+                        "level {s} is not smaller than the level before it"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            self.tail(),
+            next..rows as u32,
+            "tail is not the newest rows"
+        );
+        assert!(self.tail().len() < cap, "tail holds a full run");
+        let mut proj = vec![0.0f64; self.params.k];
+        for (s, seg) in self.segments.iter().enumerate() {
+            assert_eq!(seg.trees.len(), self.params.l, "segment {s} tree count");
+            let live_ids: Vec<u32> = seg.rows.clone().filter(|&i| self.is_live_row(i)).collect();
+            for (i, tree) in seg.trees.iter().enumerate() {
+                let view = self.store.view(i);
+                tree.check_invariants(&view);
+                assert_eq!(tree.len(), seg.held, "segment {s} tree {i} size");
+                let mut ids: Vec<u32> = tree.iter_points(&view).map(|(id, _)| id).collect();
+                ids.sort_unstable();
+                assert!(
+                    ids.iter().all(|id| seg.rows.contains(id)),
+                    "segment {s} tree {i} holds an id outside its rows"
+                );
+                ids.retain(|&id| self.is_live_row(id));
+                assert_eq!(
+                    seg.held - ids.len(),
+                    seg.dead_held,
+                    "segment {s} tree {i} holds another number of removed ids"
+                );
+                assert_eq!(ids, live_ids, "segment {s} tree {i} misses live ids");
+                for (id, coords) in tree.iter_points(&view) {
+                    self.hasher
+                        .project_into(i, self.rows.point(id as usize), &mut proj);
+                    assert!(
+                        coords.iter().zip(&proj).all(|(&c, &p)| c == p as f32),
+                        "segment {s} tree {i} stores internal id {id} at stale coordinates"
+                    );
+                }
             }
         }
     }
@@ -745,8 +954,10 @@ mod tests {
         let data = small_data();
         let params = DbLshParams::paper_defaults(data.len()).with_kl(6, 3);
         let idx = DbLsh::build(Arc::clone(&data), &params).unwrap();
-        assert_eq!(idx.trees.len(), 3);
-        for (i, t) in idx.trees.iter().enumerate() {
+        assert_eq!(idx.segments.len(), 1, "a build is one main");
+        assert!(idx.tail().is_empty());
+        assert_eq!(idx.segments[0].trees.len(), 3);
+        for (i, t) in idx.segments[0].trees.iter().enumerate() {
             assert_eq!(t.len(), 1000);
             assert_eq!(t.dim(), 6);
             t.check_invariants(&idx.store.view(i));
@@ -765,11 +976,9 @@ mod tests {
         let b = DbLsh::build(Arc::clone(&data), &params).unwrap();
         // same projections => identical stores and same tree MBRs
         assert_eq!(a.store.row(0), b.store.row(0));
-        for i in 0..a.trees.len() {
-            assert_eq!(
-                a.trees[i].mbr(&a.store.view(i)),
-                b.trees[i].mbr(&b.store.view(i))
-            );
+        let (ta, tb) = (&a.segments[0].trees, &b.segments[0].trees);
+        for i in 0..ta.len() {
+            assert_eq!(ta[i].mbr(&a.store.view(i)), tb[i].mbr(&b.store.view(i)));
         }
     }
 
@@ -875,12 +1084,69 @@ mod tests {
         assert_eq!(idx.len(), 1001);
         assert_eq!(idx.store.len(), 1001);
         assert!(idx.contains(id));
-        for (i, t) in idx.trees.iter().enumerate() {
-            assert_eq!(t.len(), 1001);
-            t.check_invariants(&idx.store.view(i));
-        }
+        // the row is appended to the tail; no tree changes
+        assert_eq!(idx.tail(), 1000..1001);
+        assert!(idx.tree_stats().iter().all(|t| t.leaf_entries == 1000));
         // the backing dataset gained the row
         assert_eq!(idx.data().point(1000), &p[..]);
+        idx.check_invariants();
+        // past the fold cap (1000 / (FOLD_PER_CAP * 32) rows) the delta
+        // is folded into main, in every space
+        let fold_at = 1000 / (FOLD_PER_CAP * params.node_capacity) + 1;
+        for i in 1..fold_at {
+            idx.insert(&[i as f32; 16]).unwrap();
+        }
+        assert!(idx.tail().is_empty());
+        assert_eq!(idx.segments.len(), 1);
+        assert!(idx
+            .tree_stats()
+            .iter()
+            .all(|t| t.leaf_entries == 1000 + fold_at));
+        idx.check_invariants();
+    }
+
+    /// Levels count in binary over tail runs of `node_capacity²` rows:
+    /// the level sizes after each flush spell the number of runs, until
+    /// the delta passes main's rows / (FOLD_PER_CAP · node_capacity) and
+    /// the insert folds everything into main.
+    #[test]
+    fn flushes_count_in_binary_then_fold() {
+        let data = Arc::new(gaussian_mixture(&MixtureConfig {
+            n: 5000,
+            dim: 8,
+            clusters: 10,
+            ..Default::default()
+        }));
+        let mut params = DbLshParams::paper_defaults(data.len()).with_kl(4, 2);
+        params.node_capacity = 4;
+        let (cap, run) = (4, 16);
+        let mut idx = DbLsh::build(Arc::clone(&data), &params).unwrap();
+        // 5000 main rows fold once the delta holds more than
+        // 5000 / (FOLD_PER_CAP * 4) rows
+        let fold_at = 5000 / (FOLD_PER_CAP * cap) + 1;
+        for i in 1..fold_at {
+            idx.insert(&[i as f32 * 0.01; 8]).unwrap();
+            assert_eq!(idx.tail().len(), i % run, "after {i} inserts");
+            let sizes: Vec<usize> = idx.segments[1..]
+                .iter()
+                .map(|seg| seg.rows.len() / run)
+                .collect();
+            let runs = i / run;
+            let bits: Vec<usize> = (0..usize::BITS)
+                .rev()
+                .map(|b| 1usize << b)
+                .filter(|&b| runs & b != 0)
+                .collect();
+            assert_eq!(sizes, bits, "after {i} inserts");
+        }
+        assert!(idx.segments.len() >= 3, "the counter merged levels");
+        idx.check_invariants();
+        idx.insert(&[9.0; 8]).unwrap();
+        assert_eq!(idx.segments.len(), 1, "the insert past the cap folds");
+        assert_eq!(idx.segments[0].rows, 0..(5000 + fold_at) as u32);
+        assert_eq!(idx.segments[0].held, 5000 + fold_at);
+        assert!(idx.tail().is_empty());
+        idx.check_invariants();
     }
 
     #[test]
@@ -903,6 +1169,8 @@ mod tests {
         assert_eq!(idx.store.len(), 1000);
     }
 
+    /// A remove only tombstones: the trees keep the id (and count it as
+    /// held dead) until the next rebuild leaves it out.
     #[test]
     fn remove_tombstones_and_shrinks_trees() {
         let data = small_data();
@@ -918,10 +1186,13 @@ mod tests {
         assert!(!idx.contains(17));
         // the store keeps the tombstoned row (ids are stable)
         assert_eq!(idx.store.len(), 1000);
-        for (i, t) in idx.trees.iter().enumerate() {
-            assert_eq!(t.len(), 999);
-            t.check_invariants(&idx.store.view(i));
-        }
+        assert_eq!(idx.segments[0].dead_held, 1);
+        assert!(idx.tree_stats().iter().all(|t| t.leaf_entries == 1000));
+        idx.check_invariants();
+        idx.compact();
+        assert_eq!(idx.segments[0].dead_held, 0);
+        assert!(idx.tree_stats().iter().all(|t| t.leaf_entries == 999));
+        idx.check_invariants();
     }
 
     #[test]

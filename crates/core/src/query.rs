@@ -73,8 +73,9 @@ pub struct MemoryBreakdown {
     /// The shared projected-point store: all `n x (L*K)` coordinates,
     /// stored once, row-major.
     pub proj_store_bytes: usize,
-    /// The `L` flat tree arenas: id arrays plus inline inner-node bounds.
-    /// No point coordinates — those are counted in `proj_store_bytes`.
+    /// The flat tree arenas of every segment (main and delta levels): id
+    /// arrays plus inline inner-node bounds. No point coordinates — those
+    /// are counted in `proj_store_bytes`.
     pub tree_bytes: usize,
     /// The id-mapping state: the two internal↔external `u32` maps —
     /// 8 B per row on a relabeled build, plus 4 B per compacted-away id
@@ -87,12 +88,13 @@ pub struct MemoryBreakdown {
     /// plus the per-dimension grid — about a quarter of one f32 row copy.
     pub sq8_bytes: usize,
     /// What churn currently costs: the share of the store, the dataset
-    /// rows, the SQ8 codes and the id maps occupied by *tombstoned* rows
-    /// (per dead row: one projection row, one `f32` row, one code row
-    /// and flag, two map entries on mapped indexes) — payload a
-    /// [`crate::DbLsh::compact`] call would reclaim. An overlay over the
-    /// other components (plus the backing dataset, which the breakdown
-    /// otherwise does not count), **not** an additional component:
+    /// rows, the SQ8 codes, the id maps and the trees occupied by
+    /// *tombstoned* rows (per dead row: one projection row, one `f32`
+    /// row, one code row and flag, two map entries on mapped indexes, and
+    /// one `u32` leaf entry per tree while a tree still holds it) —
+    /// payload a [`crate::DbLsh::compact`] call would reclaim. An overlay
+    /// over the other components (plus the backing dataset, which the
+    /// breakdown otherwise does not count), **not** an additional component:
     /// [`MemoryBreakdown::total`] does not add it. Returns to 0 after a
     /// compaction.
     pub dead_bytes: usize,
@@ -243,7 +245,7 @@ impl DbLsh {
             let cr = self.params.c * r;
             let mut hit = None;
             prober.for_each_batch(r, |fresh, batch| {
-                fresh.admit(batch, &mut stats);
+                fresh.admit(self, batch, &mut stats);
                 // Always exact: a single probe has no evolving k-th best
                 // to prune against.
                 for &key in fresh.verify(self, q, false, None, &mut stats, |ext| ext, None) {
@@ -306,7 +308,7 @@ impl DbLsh {
         let mut stats = QueryStats::default();
         while let Some(r) = ladder.begin_round(&mut stats) {
             let stopped = prober.for_each_batch(r, |fresh, batch| {
-                fresh.admit(batch, &mut stats);
+                fresh.admit(self, batch, &mut stats);
                 // Threshold as of block start; see `probe_round` for why
                 // pruned candidates cannot change the top's trajectory.
                 let prune = plan.prefilter.then(|| ladder.prune_threshold());
@@ -343,7 +345,7 @@ impl DbLsh {
     }
 
     /// Total heap footprint of the index structures: the shared
-    /// projection store, the `L` flat R*-tree arenas, the id maps and
+    /// projection store, the flat R*-tree arenas, the id maps and
     /// the SQ8 codes — everything the index holds *beyond* its one copy
     /// of the dataset rows, which is not counted. See
     /// [`DbLsh::memory_breakdown`] for the per-component split.
@@ -352,11 +354,12 @@ impl DbLsh {
     }
 
     /// Per-component heap footprint: the one shared [`crate::ProjStore`]
-    /// (all `n x (L*K)` projected coordinates), the `L` id-only tree
-    /// arenas (node structure and inline inner bounds, no coordinates),
-    /// the id-mapping state (the two `u32` maps), the SQ8 code store,
-    /// and — as an overlay — the `dead_bytes` that tombstoned rows
-    /// currently pin across the store, the dataset rows and the maps.
+    /// (all `n x (L*K)` projected coordinates), the id-only tree arenas
+    /// of every segment (node structure and inline inner bounds, no
+    /// coordinates), the id-mapping state (the two `u32` maps), the SQ8
+    /// code store, and — as an overlay — the `dead_bytes` that
+    /// tombstoned rows currently pin across the store, the dataset rows,
+    /// the maps and the trees.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         let dead = self.dead_rows();
         let dim = self.rows.dim();
@@ -368,16 +371,26 @@ impl DbLsh {
             + 2 * std::mem::size_of::<u32>() * usize::from(self.maps.is_some())
             + dim * std::mem::size_of::<u8>() // sq8 code row
             + 1; // sq8 clamped flag
+
+        // A dead row's leaf entries count only while trees still hold
+        // them: one u32 per tree of its segment.
+        let dead_held: usize = self.segments.iter().map(|seg| seg.dead_held).sum();
+        let held_entry_bytes = dead_held * self.params.l * std::mem::size_of::<u32>();
         MemoryBreakdown {
             proj_store_bytes: self.store.memory_bytes(),
-            tree_bytes: self.trees.iter().map(|t| t.approx_memory()).sum(),
+            tree_bytes: self
+                .segments
+                .iter()
+                .flat_map(|seg| &seg.trees)
+                .map(|t| t.approx_memory())
+                .sum(),
             // Logical (len-based) size; Vec growth slack after heavy
             // insert traffic is deliberately excluded.
             relabel_bytes: self.maps.as_ref().map_or(0, |m| {
                 (m.ext_of_int.len() + m.int_of_ext.len()) * std::mem::size_of::<u32>()
             }),
             sq8_bytes: self.sq8.memory_bytes(),
-            dead_bytes: dead * per_dead_row,
+            dead_bytes: dead * per_dead_row + held_entry_bytes,
         }
     }
 
@@ -386,7 +399,9 @@ impl DbLsh {
     /// future work, in the style of I-LSH/EI-LSH: instead of the discrete
     /// radius ladder, browse each projected space in *ascending projected
     /// distance* (best-first on the R*-trees) and merge the `L` streams,
-    /// verifying candidates as they surface.
+    /// verifying candidates as they surface. Each projected space
+    /// contributes one stream per segment (main and every delta level)
+    /// and one sorted list of its tail rows.
     ///
     /// Early termination: for the dynamic family,
     /// `E[||G_i(o) - G_i(q)||^2] = K ||o - q||^2`, so once the smallest
@@ -417,16 +432,24 @@ impl DbLsh {
             let budget = self.params.kann_budget(k);
             let stop_scale = (self.params.k as f64).sqrt() * self.params.c;
 
-            let views: Vec<_> = (0..self.trees.len()).map(|i| self.store.view(i)).collect();
-            let mut streams: Vec<_> = self
-                .trees
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    t.nearest_iter(&views[i], &qproj[i * kdim..(i + 1) * kdim])
-                        .peekable()
-                })
-                .collect();
+            // Per projected space: one stream per segment's tree, then
+            // the tail as one sorted list.
+            let views: Vec<_> = (0..self.params.l).map(|i| self.store.view(i)).collect();
+            let tail = self.tail();
+            type Stream<'s> = Box<dyn Iterator<Item = (u32, f64)> + 's>;
+            let mut streams = Vec::new();
+            for (i, view) in views.iter().enumerate() {
+                let qp = &qproj[i * kdim..(i + 1) * kdim];
+                for seg in &self.segments {
+                    let stream: Stream = Box::new(seg.trees[i].nearest_iter(view, qp));
+                    streams.push(stream.peekable());
+                }
+                if !tail.is_empty() {
+                    let run = dblsh_index::nearest_run(view, tail.clone(), qp);
+                    let stream: Stream = Box::new(run.into_iter());
+                    streams.push(stream.peekable());
+                }
+            }
 
             let mut verified = 0usize;
             'merge: loop {
@@ -465,7 +488,7 @@ impl DbLsh {
                         drained_dry = true;
                         break;
                     };
-                    fresh.admit(&[id], &mut stats);
+                    fresh.admit(self, &[id], &mut stats);
                 }
                 // Verify phase: blocked kernel, canonical consumption —
                 // always exact (the projected-distance early-termination
@@ -512,6 +535,9 @@ pub struct ProberScratch {
 /// window cursor can hold the probe state while candidates are verified.
 #[derive(Debug)]
 struct FreshBlock {
+    /// Whether the index has tombstoned rows that probes can meet, set
+    /// per query: a clean index pays no liveness check.
+    skip_dead: bool,
     visited: Visited,
     /// Admitted (not yet visited this query) internal ids awaiting
     /// verification.
@@ -534,6 +560,7 @@ impl ProberScratch {
             qproj: Vec::new(),
             window: WindowScratch::new(),
             fresh: FreshBlock {
+                skip_dead: false,
                 visited: Visited::empty(),
                 block: Vec::new(),
                 dists: Vec::new(),
@@ -563,10 +590,24 @@ fn timed<T>(trace: Option<&mut QueryTrace>, stage: Stage, f: impl FnOnce() -> T)
 }
 
 impl FreshBlock {
-    /// Admit one cursor batch: every id counts as an index probe, the
-    /// ones not yet visited this query join the block.
+    /// Admit one cursor batch: tombstoned ids (still held by a tree or
+    /// the tail until the next rebuild) are dropped first, every other id
+    /// counts as an index probe, and the ones not yet visited this query
+    /// join the block. `index_probes` thus counts what trees over the
+    /// live rows alone would yield.
     #[inline]
-    fn admit(&mut self, batch: &[u32], stats: &mut QueryStats) {
+    fn admit(&mut self, index: &DbLsh, batch: &[u32], stats: &mut QueryStats) {
+        if self.skip_dead {
+            for &id in batch {
+                if index.is_live_row(id) {
+                    stats.index_probes += 1;
+                    if self.visited.insert(id) {
+                        self.block.push(id);
+                    }
+                }
+            }
+            return;
+        }
         stats.index_probes += batch.len();
         for &id in batch {
             if self.visited.insert(id) {
@@ -665,11 +706,12 @@ pub struct LadderProber<'a> {
 }
 
 impl<'a> LadderProber<'a> {
-    /// Walk the windows `W(G_i(q), w0 r)` of the `L` trees in order,
-    /// handing `f` each leaf's in-window ids together with the
-    /// verification stage; stops early, returning `true`, as soon as `f`
-    /// does. Runs in the scratch's buffers — a warm prober allocates
-    /// nothing.
+    /// Walk the windows `W(G_i(q), w0 r)` of the `L` projected spaces in
+    /// order — in each space main's tree, each delta level's, then a
+    /// sweep of the tail — handing `f` each leaf's (and the tail's)
+    /// in-window ids together with the verification stage; stops early,
+    /// returning `true`, as soon as `f` does. Runs in the scratch's
+    /// buffers — a warm prober allocates nothing.
     #[inline]
     fn for_each_batch(
         &mut self,
@@ -679,13 +721,25 @@ impl<'a> LadderProber<'a> {
         let index = self.index;
         let kdim = index.params.k;
         let side = index.params.w0 * r;
+        let tail = index.tail();
         let scratch = &mut *self.scratch;
-        for (i, tree) in index.trees.iter().enumerate() {
+        for i in 0..index.params.l {
             let view = index.store.view(i);
-            let qp = &scratch.qproj[i * kdim..(i + 1) * kdim];
-            let mut cursor = tree.window_cube_in(&view, qp, side, &mut scratch.window);
-            while let Some(batch) = cursor.next_batch() {
-                if f(&mut scratch.fresh, batch) {
+            // One rounded window per space, probed in every segment.
+            scratch
+                .window
+                .set_cube(&scratch.qproj[i * kdim..(i + 1) * kdim], side);
+            for seg in &index.segments {
+                let mut cursor = seg.trees[i].window_in(&view, &mut scratch.window);
+                while let Some(batch) = cursor.next_batch() {
+                    if f(&mut scratch.fresh, batch) {
+                        return true;
+                    }
+                }
+            }
+            if !tail.is_empty() {
+                let hits = scratch.window.scan(&view, tail.clone());
+                if !hits.is_empty() && f(&mut scratch.fresh, hits) {
                     return true;
                 }
             }
@@ -732,9 +786,10 @@ impl<'a> LadderProber<'a> {
         to_global: impl Fn(u32) -> u32,
         mut trace: Option<&mut QueryTrace>,
     ) -> &[u64] {
+        let index = self.index;
         timed(trace.as_deref_mut(), Stage::TreeProbe, || {
             self.for_each_batch(r, |fresh, batch| {
-                fresh.admit(batch, stats);
+                fresh.admit(index, batch, stats);
                 false
             })
         });
@@ -925,6 +980,7 @@ impl DbLsh {
             // Internal-id domain: physical store rows.
             scratch.fresh.visited.reset(self.store.len());
             scratch.fresh.block.clear();
+            scratch.fresh.skip_dead = self.dead_rows() > 0;
             let (l, k) = (self.params.l, self.params.k);
             scratch.qproj.resize(l * k, 0.0);
             for i in 0..l {
@@ -1733,6 +1789,33 @@ mod tests {
                 n.id
             );
             assert!(idx.contains(n.id));
+        }
+    }
+
+    /// Removed ids stay in main's trees until the next rebuild; a probe
+    /// must drop them before counting, so every work counter reads as on
+    /// trees that never held them (here: the same index compacted).
+    #[test]
+    fn index_probes_exclude_tombstoned_ids_still_in_main() {
+        let data = Arc::new(clustered(1500, 12, 29));
+        let mut idx = build(&data);
+        for id in (0..1500u32).step_by(3) {
+            idx.remove(id).unwrap();
+        }
+        assert_eq!(idx.segments[0].dead_held, 500, "main still holds them");
+        let opts = SearchOptions::default();
+        let queries: Vec<&[f32]> = (0..1500).step_by(50).map(|i| data.point(i)).collect();
+        let held: Vec<SearchResult> = queries
+            .iter()
+            .map(|q| idx.search_canonical(q, 10, &opts).unwrap())
+            .collect();
+        assert!(held.iter().any(|r| r.stats.index_probes > 0));
+        idx.compact();
+        assert_eq!(idx.segments[0].dead_held, 0);
+        for (q, want) in queries.iter().zip(&held) {
+            let got = idx.search_canonical(q, 10, &opts).unwrap();
+            assert_eq!(got.stats, want.stats);
+            assert_eq!(got.neighbors, want.neighbors);
         }
     }
 

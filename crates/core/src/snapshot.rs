@@ -16,8 +16,10 @@
 //!   full `n x L x K x d` projection pass of a build — the single most
 //!   expensive build phase);
 //! * the id maps and the tombstone bitset (pure state, not derivable);
-//! * the `L` R*-trees are **rebuilt** from the restored store via the
-//!   bulk-load path. Tree structure is an implementation detail the
+//! * the R*-trees are **rebuilt** from the restored store via the
+//!   bulk-load path, as one main over every live row — whatever delta
+//!   levels and tail the saved index had. Tree structure is an
+//!   implementation detail the
 //!   canonical query mode is independent of, so persisting arenas would
 //!   buy nothing but format surface: canonical answers
 //!   ([`DbLsh::search_canonical`]) are byte-identical across
@@ -50,7 +52,7 @@ use dblsh_data::io::{SectionBuf, SnapshotReader, SnapshotWriter};
 use dblsh_data::{Dataset, DbLshError, Sq8Grid, Sq8Store};
 
 use crate::hasher::GaussianHasher;
-use crate::index::{build_trees, DbLsh, IdMaps, DEAD};
+use crate::index::{DbLsh, IdMaps, Segment, DEAD};
 use crate::params::DbLshParams;
 use crate::proj_store::ProjStore;
 
@@ -165,7 +167,7 @@ impl DbLsh {
 
     /// Restore an index from a snapshot stream: decode and validate
     /// every section, rebuild the Gaussian family from its seed, and
-    /// bulk-load the `L` trees over the restored projection store.
+    /// bulk-load one main of `L` trees over the restored projection store.
     /// Canonical-mode answers are byte-identical to the saved index.
     ///
     /// Malformed input of any kind — truncated or bit-flipped files,
@@ -363,9 +365,9 @@ impl DbLsh {
         };
         let sq8 = Sq8Store::build(grid, data.flat());
 
-        // Rebuild the hasher (deterministic in the seed) and the trees
+        // Rebuild the hasher (deterministic in the seed) and one main
         // over the *live* internal ids (tombstoned rows stay out of the
-        // trees, exactly as the saved index had them).
+        // trees).
         let hasher = GaussianHasher::new(dim, params.k, params.l, params.seed);
         let store = ProjStore::from_flat(params.l, params.k, proj);
         let live_ids: Vec<u32> = (0..rows as u32)
@@ -377,12 +379,12 @@ impl DbLsh {
                 live_ids.len()
             )));
         }
-        let trees = build_trees(&store, &live_ids, params.node_capacity);
+        let main = Segment::new(0..rows as u32, &store, &live_ids, params.node_capacity);
 
         Ok(DbLsh {
             params,
             hasher,
-            trees,
+            segments: vec![main],
             store,
             rows: data,
             maps,

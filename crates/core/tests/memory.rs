@@ -215,14 +215,15 @@ fn dead_bytes_tracks_churn_and_compaction_reclaims_it() {
     assert_eq!(index.memory_breakdown().dead_bytes, 0, "fresh build");
 
     // Remove half: dead_bytes must report exactly the tombstoned rows'
-    // share of the store, the dataset rows, the id maps and the SQ8
-    // code store.
+    // share of the store, the dataset rows, the id maps, the SQ8 code
+    // store and the leaf entries main's trees still hold.
     for id in 0..1000u32 {
         index.remove(id).unwrap();
     }
     let breakdown = index.memory_breakdown();
     let per_row = 8 * 3 * 4 /* store row */ + 16 * 4 /* dataset row */
-        + 8 /* map entries */ + 16 /* sq8 code row */ + 1 /* sq8 clamped flag */;
+        + 8 /* map entries */ + 16 /* sq8 code row */ + 1 /* sq8 clamped flag */
+        + 3 * 4 /* one u32 leaf entry per tree */;
     assert_eq!(breakdown.dead_bytes, 1000 * per_row);
     assert_eq!(index.dead_rows(), 1000);
 

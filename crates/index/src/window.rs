@@ -1,7 +1,8 @@
 //! The window-probe kernel: an `f64` query window rounded *inward* to
 //! `f32` once per probe, and the three predicates a probe evaluates —
 //! point-in-window, box-intersects-window, box-inside-window — as
-//! branch-free comparisons in the storage precision.
+//! branch-free comparisons in the storage precision; plus [`sweep`], the
+//! point predicate run over a run of points that no tree holds.
 //!
 //! # Why the rounding is exact
 //!
@@ -81,12 +82,101 @@ impl<'a> Window32<'a> {
     }
 }
 
+/// Append to `hits` every id of `ids` whose point (`coords(id)`) lies in
+/// `window` — [`Window32::contains_point`] swept over a run of points
+/// that no box was checked against, so most of them miss. The window's
+/// corners are loaded once per sweep, and a point is rejected on its
+/// first four dimensions before the rest are read.
+#[inline]
+pub(crate) fn sweep<'p>(
+    window: Window32,
+    ids: impl Iterator<Item = u32>,
+    coords: impl Fn(u32) -> &'p [f32],
+    hits: &mut Vec<u32>,
+) {
+    #[cfg(all(target_arch = "x86_64", not(dblsh_portable_window)))]
+    if (4..=4 * SWEEP_CHUNKS).contains(&window.lo.len()) {
+        return sweep_sse2(window, ids, coords, hits);
+    }
+    for id in ids {
+        if window.contains_point(coords(id)) {
+            hits.push(id);
+        }
+    }
+}
+
+/// Most 4-lane chunks [`sweep_sse2`] keeps in registers (64 dimensions).
+#[cfg(target_arch = "x86_64")]
+const SWEEP_CHUNKS: usize = 16;
+
+/// The SSE2 arm of [`sweep`] for 4 to `4 * SWEEP_CHUNKS` dimensions: the
+/// chunking of [`between_sse2`] (whole chunks, then one overlapping
+/// chunk over the last four lanes), with the corner chunks loaded once.
+#[cfg(target_arch = "x86_64")]
+#[cfg_attr(dblsh_portable_window, allow(dead_code))]
+#[inline]
+pub(crate) fn sweep_sse2<'p>(
+    window: Window32,
+    ids: impl Iterator<Item = u32>,
+    coords: impl Fn(u32) -> &'p [f32],
+    hits: &mut Vec<u32>,
+) {
+    use std::arch::x86_64::{_mm_and_ps, _mm_cmple_ps, _mm_loadu_ps, _mm_movemask_ps};
+    let d = window.lo.len();
+    if !(4..=4 * SWEEP_CHUNKS).contains(&d) || window.hi.len() != d {
+        return;
+    }
+    // Chunk offsets: 0, 4, .. while a whole chunk fits, then d - 4.
+    let chunks = d.div_ceil(4);
+    let offset = |c: usize| (4 * c).min(d - 4);
+    // SAFETY: SSE2 is part of the x86_64 baseline. Both corners hold
+    // exactly `d >= 4` values (checked above) and so does every point
+    // tested (checked per point); every load reads the 4 lanes at an
+    // offset `<= d - 4`, and `chunks <= SWEEP_CHUNKS` because
+    // `d <= 4 * SWEEP_CHUNKS`.
+    unsafe {
+        let corner = |v: &[f32], c: usize| _mm_loadu_ps(v.as_ptr().add(offset(c)));
+        let (mut lo, mut hi) = (
+            [corner(window.lo, 0); SWEEP_CHUNKS],
+            [corner(window.hi, 0); SWEEP_CHUNKS],
+        );
+        for c in 1..chunks {
+            lo[c] = corner(window.lo, c);
+            hi[c] = corner(window.hi, c);
+        }
+        let inside = |p: &[f32], c: usize| {
+            let v = corner(p, c);
+            _mm_and_ps(_mm_cmple_ps(lo[c], v), _mm_cmple_ps(v, hi[c]))
+        };
+        for id in ids {
+            let p = coords(id);
+            if p.len() != d {
+                continue;
+            }
+            let mut all = inside(p, 0);
+            if _mm_movemask_ps(all) != 0b1111 {
+                continue;
+            }
+            for c in 1..chunks {
+                all = _mm_and_ps(all, inside(p, c));
+            }
+            if _mm_movemask_ps(all) == 0b1111 {
+                hits.push(id);
+            }
+        }
+    }
+}
+
 /// `∀i: lo[i] <= x[i] ∧ y[i] <= hi[i]`, evaluated without a
 /// data-dependent branch. Slices of unequal length (a violated
 /// dimensionality contract) compare false.
+///
+/// Building with `RUSTFLAGS="--cfg dblsh_portable_window"` routes every
+/// call through the safe arm, so the test suite can run both arms on one
+/// `x86_64` host.
 #[inline]
 pub(crate) fn between(lo: &[f32], x: &[f32], y: &[f32], hi: &[f32]) -> bool {
-    #[cfg(target_arch = "x86_64")]
+    #[cfg(all(target_arch = "x86_64", not(dblsh_portable_window)))]
     if lo.len() >= 4 {
         return between_sse2(lo, x, y, hi);
     }
@@ -112,6 +202,7 @@ pub(crate) fn between_portable(lo: &[f32], x: &[f32], y: &[f32], hi: &[f32]) -> 
 /// then one overlapping load covering the last four lanes (re-testing a
 /// lane cannot change an AND).
 #[cfg(target_arch = "x86_64")]
+#[cfg_attr(dblsh_portable_window, allow(dead_code))]
 #[inline]
 pub(crate) fn between_sse2(lo: &[f32], x: &[f32], y: &[f32], hi: &[f32]) -> bool {
     use std::arch::x86_64::{_mm_and_ps, _mm_cmple_ps, _mm_loadu_ps, _mm_movemask_ps};
@@ -228,6 +319,14 @@ mod tests {
     #[test]
     fn unequal_lengths_compare_false() {
         let (four, five) = ([0.0f32; 4], [0.0f32; 5]);
+        let mut hits = Vec::new();
+        let window = Window32 {
+            lo: &four,
+            hi: &four,
+        };
+        let run = [&five[..], &four[..4], &four[..3]];
+        sweep(window, 0..3, |id| run[id as usize], &mut hits);
+        assert_eq!(hits, [1]);
         assert!(between(&four, &four, &four, &four));
         assert!(!between(&four, &five, &four, &four));
         assert!(!between(&five, &five, &five, &four));
@@ -350,6 +449,31 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             if dim >= 4 {
                 prop_assert_eq!(arm(between_sse2), want, "sse2 arm");
+            }
+            // The run sweep: the point alone, then among decoys on either
+            // side of every rounded corner.
+            let decoys: Vec<Vec<f32>> = (0..dim)
+                .flat_map(|i| {
+                    [lo32[i].next_down(), hi32[i].next_up()].map(|v| {
+                        let mut d = p.clone();
+                        d[i] = v;
+                        d
+                    })
+                })
+                .collect();
+            let run: Vec<&[f32]> = decoys.iter().map(|d| &d[..]).chain([&p[..]]).collect();
+            let mut hits = Vec::new();
+            sweep(window, 0..run.len() as u32, |id| run[id as usize], &mut hits);
+            let expect: Vec<u32> = (0..run.len() as u32)
+                .filter(|&id| window.contains_point(run[id as usize]))
+                .collect();
+            prop_assert_eq!(&hits, &expect, "sweep");
+            prop_assert_eq!(hits.contains(&(run.len() as u32 - 1)), want[0], "sweep");
+            #[cfg(target_arch = "x86_64")]
+            if dim >= 4 {
+                let mut sse2 = Vec::new();
+                sweep_sse2(window, 0..run.len() as u32, |id| run[id as usize], &mut sse2);
+                prop_assert_eq!(sse2, hits, "sse2 sweep");
             }
         }
     }

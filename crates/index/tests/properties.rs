@@ -1,7 +1,6 @@
 //! Property-based tests: the flat-layout R*-tree must agree with brute
-//! force on every query, for every construction path (incremental, bulk,
-//! mixed), and bulk-built vs insert-grown trees must stay interchangeable
-//! under interleaved insert/remove.
+//! force on every query, whether one tree holds every point or the points
+//! are split into runs, one bulk-loaded tree each.
 
 use dblsh_index::{OwnedCoords, RStarTree, Rect};
 use proptest::prelude::*;
@@ -74,22 +73,27 @@ fn truncated(pts: &[Vec<f32>], dim: usize) -> Vec<Vec<f32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Points indexed incrementally, one bulk-loaded tree per run of
+    /// ids (the way a growing index adds them): the union of the runs'
+    /// windows is the brute-force window.
     #[test]
     fn window_equals_brute_force_incremental(
         pts in points(13, 200),
+        run in 1usize..70,
         center in prop::collection::vec(-15.0f64..15.0, 13),
         width in prop::collection::vec(0.85f64..1.15, 13),
     ) {
         for dim in WINDOW_DIMS {
             let pts = truncated(&pts, dim);
             let src = source(&pts, dim);
-            let mut t = RStarTree::new(dim);
-            for i in 0..pts.len() {
-                t.insert(&src, i as u32);
-            }
-            t.check_invariants(&src);
+            let ids: Vec<u32> = (0..pts.len() as u32).collect();
             let (lo, hi) = window_at(dim, &center, &width);
-            let mut got = t.window_all(&src, &Rect::new(&lo, &hi));
+            let mut got = Vec::new();
+            for chunk in ids.chunks(run) {
+                let t = RStarTree::bulk_load(&src, chunk);
+                t.check_invariants(&src);
+                got.extend(t.window_all(&src, &Rect::new(&lo, &hi)));
+            }
             got.sort_unstable();
             prop_assert_eq!(got, brute_window(&pts, &lo, &hi), "dim {}", dim);
         }
@@ -121,10 +125,8 @@ proptest! {
         k in 1usize..20,
     ) {
         let src = source(&pts, 4);
-        let mut t = RStarTree::new(4);
-        for i in 0..pts.len() {
-            t.insert(&src, i as u32);
-        }
+        let ids: Vec<u32> = (0..pts.len() as u32).collect();
+        let t = RStarTree::bulk_load(&src, &ids);
         let got: Vec<f64> = t.k_nearest(&src, &q, k).into_iter().map(|(_, d)| d).collect();
         let want = brute_knn(&pts, &q, k);
         prop_assert_eq!(got.len(), want.len());
@@ -134,98 +136,17 @@ proptest! {
     }
 
     #[test]
-    fn removal_keeps_remaining_set_queryable(
-        pts in points(2, 120),
-        keep_mod in 2usize..5,
-    ) {
-        let src = source(&pts, 2);
-        let mut t = RStarTree::new(2);
-        for i in 0..pts.len() {
-            t.insert(&src, i as u32);
-        }
-        for i in 0..pts.len() {
-            if i % keep_mod != 0 {
-                prop_assert!(t.remove(&src, i as u32));
-            }
-        }
-        t.check_invariants(&src);
-        let survivors: Vec<u32> = (0..pts.len())
-            .filter(|i| i % keep_mod == 0)
-            .map(|i| i as u32)
-            .collect();
-        prop_assert_eq!(t.len(), survivors.len());
-        let w = Rect::new(&[-50.0, -50.0], &[50.0, 50.0]);
-        let mut got = t.window_all(&src, &w);
-        got.sort_unstable();
-        prop_assert_eq!(got, survivors);
-    }
-
-    #[test]
     fn nearest_iter_is_sorted_prefix_closed(
         pts in points(3, 150),
         q in prop::collection::vec(-60.0f64..60.0, 3),
     ) {
         let src = source(&pts, 3);
-        let mut t = RStarTree::new(3);
-        for i in 0..pts.len() {
-            t.insert(&src, i as u32);
-        }
+        let ids: Vec<u32> = (0..pts.len() as u32).collect();
+        let t = RStarTree::bulk_load(&src, &ids);
         let all: Vec<(u32, f64)> = t.nearest_iter(&src, &q).collect();
         prop_assert_eq!(all.len(), pts.len());
         for w in all.windows(2) {
             prop_assert!(w[0].1 <= w[1].1);
-        }
-    }
-
-    /// A bulk-built tree and an insert-grown tree over the same prefix
-    /// must stay interchangeable through the same tail of interleaved
-    /// inserts and removes: identical point sets under `window_all`, and
-    /// identical `k_nearest` distances.
-    #[test]
-    fn bulk_and_grown_agree_after_interleaved_updates(
-        pts in points(3, 160),
-        split_frac in 0.2f64..0.8,
-        remove_mod in 2usize..5,
-        q in prop::collection::vec(-60.0f64..60.0, 3),
-    ) {
-        let src = source(&pts, 3);
-        let n = pts.len();
-        let split = ((n as f64 * split_frac) as usize).clamp(1, n);
-        let prefix_ids: Vec<u32> = (0..split as u32).collect();
-
-        let mut bulk = RStarTree::bulk_load(&src, &prefix_ids);
-        let mut grown = RStarTree::new(3);
-        for &id in &prefix_ids {
-            grown.insert(&src, id);
-        }
-
-        // Interleave: insert the tail, removing every remove_mod-th
-        // prefix point along the way — in identical order on both trees.
-        for row in split..n {
-            bulk.insert(&src, row as u32);
-            grown.insert(&src, row as u32);
-            let victim = (row - split) as u32;
-            if victim.is_multiple_of(remove_mod as u32) && (victim as usize) < split {
-                prop_assert!(bulk.remove(&src, victim));
-                prop_assert!(grown.remove(&src, victim));
-            }
-        }
-        bulk.check_invariants(&src);
-        grown.check_invariants(&src);
-        prop_assert_eq!(bulk.len(), grown.len());
-
-        let w = Rect::new(&[-50.0, -50.0, -50.0], &[50.0, 50.0, 50.0]);
-        let mut a = bulk.window_all(&src, &w);
-        let mut b = grown.window_all(&src, &w);
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b, "live point sets diverge");
-
-        let da: Vec<f64> = bulk.k_nearest(&src, &q, 10).into_iter().map(|(_, d)| d).collect();
-        let db: Vec<f64> = grown.k_nearest(&src, &q, 10).into_iter().map(|(_, d)| d).collect();
-        prop_assert_eq!(da.len(), db.len());
-        for (x, y) in da.iter().zip(&db) {
-            prop_assert!((x - y).abs() < 1e-9, "knn distances diverge: {} vs {}", x, y);
         }
     }
 

@@ -1,9 +1,10 @@
 //! Answer checksum for answer-preserving changes: one FNV-1a line per
 //! query mode over every answer's ids, distance bits and the five
-//! `QueryStats` work counters. Run it at the parent commit and at the
+//! `QueryStats` work counters, then one canonical line after a seeded
+//! run of inserts and removes. Run it at the parent commit and at the
 //! change and diff the output; inside one run it also checks that the
-//! canonical answer does not depend on the SQ8 prefilter, on sharding
-//! or on tracing, and exits non-zero otherwise.
+//! canonical answer does not depend on the SQ8 prefilter, on sharding,
+//! on tracing or on compaction, and exits non-zero otherwise.
 //!
 //! Run: `cargo run --release --example answer_checksum -- --n 5000 --queries 200`
 //! (defaults: the benchmark's `hot_small` shape, 20 000 x 32-d, 2 000
@@ -73,8 +74,11 @@ fn main() {
     println!("answer_checksum n={n} dim={dim} queries={n_queries} seed={seed} k={K}");
 
     // The benchmark's generator: 25 clusters at 20k points, 300 at 300k.
+    // The churn lines insert 5 % of n more points from the same mixture:
+    // the generator's last rows, cut off before the queries are carved.
+    let n_new = n / 20;
     let mut all = gaussian_mixture(&MixtureConfig {
-        n: n + n_queries,
+        n: n + n_queries + n_new,
         dim,
         clusters: (n / 1000).max(25),
         cluster_std: 1.0,
@@ -82,6 +86,7 @@ fn main() {
         noise_frac: 0.02,
         seed,
     });
+    let fresh = all.extract_rows(&(n + n_queries..n + n_queries + n_new).collect::<Vec<_>>());
     let queries = split_queries(&mut all, n_queries, seed ^ 0x5eed_0001);
     let base = Arc::new(all);
     let builder = DbLshBuilder::new().auto_r_min().seed(seed);
@@ -139,8 +144,61 @@ fn main() {
         ok &= check(plain == canonical_on, "sharded differs from unsharded");
         ok &= check(traced == plain, "traced differs from untraced");
     }
+
+    // Churn: insert the fresh points, then remove every 3rd inserted id
+    // and every 40th base id — through the unsharded index, then through
+    // a 4-shard fleet, one at a time.
+    let (inserted, churned) = {
+        let mut index = builder.clone().build(Arc::clone(&base)).expect("build");
+        let inserted: Vec<u32> = (0..fresh.len())
+            .map(|i| index.insert(fresh.point(i)).expect("insert"))
+            .collect();
+        for id in victims(&inserted, n) {
+            assert!(index.remove(id).expect("remove"), "{id} was live");
+        }
+        let canonical = |index: &db_lsh::DbLsh| {
+            checksum(&queries, |q| {
+                of(index.search_canonical(q, K, &on).expect("query"))
+            })
+        };
+        let churned = canonical(&index);
+        println!("{:<32} {churned:016x}", "search_canonical churn");
+        index.compact();
+        ok &= check(
+            canonical(&index) == churned,
+            "compaction changed the churned answers",
+        );
+        (inserted, churned)
+    };
+    let fleet =
+        ShardedDbLsh::build(&base, &builder, 4, ShardPolicy::RoundRobin).expect("fleet build");
+    let fleet_ids: Vec<u32> = (0..fresh.len())
+        .map(|i| fleet.insert(fresh.point(i)).expect("insert"))
+        .collect();
+    ok &= check(fleet_ids == inserted, "the fleet handed out other ids");
+    for id in victims(&inserted, n) {
+        assert!(fleet.remove(id).expect("remove"), "{id} was live");
+    }
+    let fleet_churned = checksum(&queries, |q| {
+        of(fleet.search_with(q, K, &on).expect("query"))
+    });
+    ok &= check(
+        fleet_churned == churned,
+        "churned fleet differs from the churned unsharded index",
+    );
+
     if !ok {
         std::process::exit(1);
     }
-    println!("ok: prefilter on == off, sharded == unsharded, traced == untraced");
+    println!(
+        "ok: prefilter on == off, sharded == unsharded, traced == untraced, \
+         compacted == not compacted"
+    );
+}
+
+/// The ids the churn lines remove: every 3rd inserted id and every 40th
+/// of the `n` base ids.
+fn victims(inserted: &[u32], n: usize) -> impl Iterator<Item = u32> + '_ {
+    let base = (0..n as u32).step_by(40);
+    inserted.iter().copied().step_by(3).chain(base)
 }
