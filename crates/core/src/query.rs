@@ -73,9 +73,11 @@ pub struct MemoryBreakdown {
     /// The shared projected-point store: all `n x (L*K)` coordinates,
     /// stored once, row-major.
     pub proj_store_bytes: usize,
-    /// The flat tree arenas of every segment (main and delta levels): id
-    /// arrays plus inline inner-node bounds. No point coordinates — those
-    /// are counted in `proj_store_bytes`.
+    /// The packed tree arenas of every segment (main and delta levels),
+    /// each sized exactly at build: per tree a `u32` per id, an 8-byte
+    /// `(first, count)` span per node and a `2K`-float box per node but
+    /// the root. No point coordinates — those are counted in
+    /// `proj_store_bytes`.
     pub tree_bytes: usize,
     /// The id-mapping state: the two internal↔external `u32` maps —
     /// 8 B per row on a relabeled build, plus 4 B per compacted-away id

@@ -1,5 +1,5 @@
 //! Layout regression tests: the flat index (shared `f32` projection
-//! store + id-only tree arenas) must stay strictly below the memory
+//! store + one packed id-only arena per tree) must stay strictly below the memory
 //! footprint of the seed layout, which boxed every leaf's coordinates
 //! (`Entry::Point { coords: Box<[f64]> }`) and every inner bound
 //! (`Rect` = two `Box<[f64]>`s) inside 48-byte entry enums, per tree.
@@ -130,6 +130,26 @@ fn flat_index_reports_strictly_less_than_seed_layout_at_10k() {
     let expect_store = n * params.l * params.k * 4;
     assert!(breakdown.proj_store_bytes >= expect_store);
     assert!(breakdown.proj_store_bytes <= expect_store * 2);
+    // Tree size is exactly predictable: a fresh build is one bulk-loaded
+    // tree per space, each one packed arena sized exactly — a `u32` per
+    // id, an 8-byte `(first, count)` per node and a `2K`-float box per
+    // node but the root.
+    let stats = index.tree_stats();
+    assert_eq!(stats.len(), params.l);
+    for s in &stats {
+        assert_eq!(s.leaf_entries, n);
+        assert_eq!(
+            s.structure_bytes,
+            std::mem::size_of::<dblsh_index::RStarTree>()
+                + 4 * n
+                + 8 * s.nodes
+                + 2 * params.k * 4 * (s.nodes - 1)
+        );
+    }
+    assert_eq!(
+        breakdown.tree_bytes,
+        stats.iter().map(|s| s.structure_bytes).sum::<usize>()
+    );
 }
 
 #[test]

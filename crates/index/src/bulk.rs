@@ -5,8 +5,9 @@
 //! efficient strategy than conventional insertion strategies" —
 //! Section VI-B.2). STR packs points into fully-filled leaves by recursive
 //! slab partitioning, then packs each level into the one above it. Leaves
-//! are runs of bare point ids; only inner levels materialize bounds, in
-//! each node's inline arena.
+//! are runs of one id array in STR order; every level above is a run of
+//! the one below, and every node but the root stores its box in the
+//! tree's one bounds array (see the `tree` module).
 //!
 //! # Partitioning at memory speed
 //!
@@ -29,7 +30,7 @@
 use std::ops::Range;
 
 use crate::coords::CoordSource;
-use crate::tree::{Node, RStarTree};
+use crate::tree::{level_widths, RStarTree, Span};
 
 impl RStarTree {
     /// Bulk-load a tree over the points `ids`, with coordinates resolved
@@ -52,61 +53,46 @@ impl RStarTree {
         let max_entries = max_entries.max(4);
         let dim = src.dim();
         debug_assert!(dim >= 1, "dimension must be at least 1");
-        let n = ids.len();
+        // The leaves: runs of the STR order, each ascending so a leaf
+        // scan walks the shared coordinate store monotonically
+        // (prefetch-friendly) instead of in space-filling order. No ids
+        // give one empty leaf.
+        let (ids, groups) = str_leaves(src, ids, max_entries);
+        let leaves = groups.len();
+        let nodes: usize = level_widths(leaves, max_entries).sum();
+        let mut spans = Vec::with_capacity(nodes);
+        spans.extend(groups.into_iter().map(|g| Span {
+            first: g.start as u32,
+            count: g.len() as u32,
+        }));
         let mut tree = RStarTree {
             dim,
             max_entries,
-            nodes: Vec::new(),
-            root: 0,
-            len: n,
+            leaves,
+            ids,
+            spans,
+            bounds: Vec::with_capacity((nodes - 1) * 2 * dim),
         };
-        if n == 0 {
-            // An empty tree is one empty leaf.
-            tree.alloc(Node {
-                level: 0,
-                children: Vec::new(),
-                bounds: Vec::new(),
-            });
-            return tree;
-        }
 
-        // Build leaves: a leaf is just its run of ids, ascending so a leaf
-        // scan walks the shared coordinate store monotonically
-        // (prefetch-friendly) instead of in space-filling order.
-        let (order, groups) = str_leaves(src, ids, max_entries);
-        let mut level_nodes: Vec<usize> = Vec::with_capacity(groups.len());
-        for g in groups {
-            level_nodes.push(tree.alloc(Node {
-                level: 0,
-                children: order[g].to_vec(),
-                bounds: Vec::new(),
-            }));
-        }
-
-        // Pack each level into the next until a single root remains.
+        // Level by level until a single root remains: the box of every
+        // node of the level, then one parent per `max_entries` of them.
         let (mut lo, mut hi): (Vec<f32>, Vec<f32>) = (Vec::new(), Vec::new());
-        let mut level = 0u32;
-        while level_nodes.len() > 1 {
-            level += 1;
-            let mut upper: Vec<usize> = Vec::with_capacity(level_nodes.len() / max_entries + 1);
-            for chunk in level_nodes.chunks(max_entries) {
-                let mut node = Node {
-                    level,
-                    children: Vec::with_capacity(chunk.len()),
-                    bounds: Vec::with_capacity(chunk.len() * 2 * dim),
-                };
-                for &c in chunk {
-                    tree.node_mbr_into(src, c, &mut lo, &mut hi);
-                    node.children.push(c as u32);
-                    node.bounds.extend_from_slice(&lo);
-                    node.bounds.extend_from_slice(&hi);
-                }
-                upper.push(tree.alloc(node));
+        let mut level = 0..leaves;
+        while level.len() > 1 {
+            for node in level.clone() {
+                tree.node_mbr_into(src, node, &mut lo, &mut hi);
+                tree.bounds.extend_from_slice(&lo);
+                tree.bounds.extend_from_slice(&hi);
             }
-            level_nodes = upper;
+            for first in level.clone().step_by(max_entries) {
+                tree.spans.push(Span {
+                    first: first as u32,
+                    count: max_entries.min(level.end - first) as u32,
+                });
+            }
+            level = level.end..tree.spans.len();
         }
-
-        tree.root = level_nodes[0];
+        debug_assert_eq!(tree.spans.len(), nodes);
         tree
     }
 }
@@ -258,7 +244,7 @@ mod tests {
         assert_eq!(t.height(), 1);
         t.check_invariants(&src);
         assert_eq!(t.k_nearest(&src, &[0.0, 0.0, 0.0], 1), vec![(0, 14.0)]);
-        // the construction-time scratch root is freed, not leaked
+        // one leaf, which is the root: no stored box
         assert_eq!(t.stats().nodes, 1);
     }
 

@@ -30,9 +30,12 @@
 //! The tree stores **ids, not coordinates**. Leaf entries are bare `u32`
 //! ids resolved through a [`CoordSource`] (a borrowed view over one
 //! contiguous, possibly strided, coordinate matrix — see
-//! [`StridedCoords`]); inner nodes keep their children's bounding boxes
-//! inline in a per-node flat `f32` arena. Compared to a boxed-`Rect`
-//! layout this removes every per-entry heap allocation, makes leaf scans
+//! [`StridedCoords`]). A tree is one packed arena, sized exactly at
+//! build: one array of ids (leaf after leaf), one `(first, count)` span
+//! per node, and one array of `f32` boxes, one per non-root node — so the
+//! children a descent tests are one contiguous run of boxes (see the
+//! `tree` module). Compared to a boxed-`Rect` layout this removes every
+//! per-node and per-entry heap allocation, makes leaf scans
 //! cache-linear, and lets `L` trees share one projection store instead of
 //! each owning a copy of its column.
 //!

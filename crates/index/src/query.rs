@@ -2,10 +2,10 @@
 //! nearest-neighbor iteration (Hjaltason–Samet distance browsing), and
 //! convenience wrappers.
 //!
-//! All cursors run over the flat node arena: the descent touches only the
-//! inline bounds runs of inner nodes and the dense id arrays of leaves —
-//! no rectangle is cloned and nothing is allocated per step (the only
-//! allocations are the cursor's own stack/heap, once per query).
+//! All cursors run over the tree's packed arena: a descent tests a node's
+//! children on one contiguous run of boxes and scans a leaf as one run of
+//! ids — no rectangle is cloned and nothing is allocated per step (the
+//! only allocations are the cursor's own stack/heap, once per query).
 
 use std::borrow::BorrowMut;
 use std::cmp::Reverse;
@@ -14,7 +14,7 @@ use std::ops::Range;
 
 use crate::coords::CoordSource;
 use crate::rect::{geom, Rect};
-use crate::tree::{child_bounds, RStarTree};
+use crate::tree::RStarTree;
 use crate::window::{ceil_f32, floor_f32, sweep, Window32};
 
 impl RStarTree {
@@ -83,7 +83,7 @@ impl RStarTree {
         if !self.is_empty() {
             heap.push(Reverse(HeapItem {
                 dist2: 0.0,
-                kind: ItemKind::Node(self.root),
+                kind: ItemKind::Node(self.root()),
             }));
         }
         NearestIter {
@@ -116,7 +116,7 @@ impl RStarTree {
         let mut frontier: BinaryHeap<Reverse<HeapItem>> = BinaryHeap::new();
         frontier.push(Reverse(HeapItem {
             dist2: 0.0,
-            kind: ItemKind::Node(self.root),
+            kind: ItemKind::Node(self.root()),
         }));
         // Max-heap of the best k points seen; its top is the pruning bound.
         let mut result: BinaryHeap<HeapItem> = BinaryHeap::with_capacity(k + 1);
@@ -127,9 +127,8 @@ impl RStarTree {
             let ItemKind::Node(idx) = item.kind else {
                 continue; // the frontier holds nodes only
             };
-            let n = &self.nodes[idx];
-            if n.is_leaf() {
-                for &c in &n.children {
+            if self.is_leaf(idx) {
+                for &c in self.leaf_ids(idx) {
                     let d2 = sq_dist(q, src.coords(c));
                     if result.len() < k {
                         result.push(HeapItem {
@@ -150,13 +149,14 @@ impl RStarTree {
                 } else {
                     f64::INFINITY
                 };
-                for (&c, b) in n.children.iter().zip(n.bounds.chunks_exact(2 * dim)) {
+                let run = self.spans[idx].range();
+                for (c, b) in run.clone().zip(self.run_bounds(run).chunks_exact(2 * dim)) {
                     let (blo, bhi) = b.split_at(dim);
                     let md2 = geom::min_dist2(blo, bhi, q);
                     if md2 < bound {
                         frontier.push(Reverse(HeapItem {
                             dist2: md2,
-                            kind: ItemKind::Node(c as usize),
+                            kind: ItemKind::Node(c),
                         }));
                     }
                 }
@@ -174,28 +174,13 @@ impl RStarTree {
             .collect()
     }
 
-    /// Iterate over every stored point (depth-first order).
+    /// Iterate over every stored point (depth-first order, which is
+    /// leaf order).
     pub fn iter_points<'t, S: CoordSource>(
         &'t self,
         src: &'t S,
     ) -> impl Iterator<Item = (u32, &'t [f32])> + 't {
-        let mut stack = vec![(self.root, 0usize)];
-        std::iter::from_fn(move || loop {
-            let &(node, pos) = stack.last()?;
-            let n = &self.nodes[node];
-            if pos >= n.children.len() {
-                stack.pop();
-                continue;
-            }
-            if let Some(top) = stack.last_mut() {
-                top.1 += 1;
-            }
-            let c = n.children[pos];
-            if n.is_leaf() {
-                return Some((c, src.coords(c)));
-            }
-            stack.push((c as usize, 0));
-        })
+        self.ids.iter().map(move |&id| (id, src.coords(id)))
     }
 }
 
@@ -208,8 +193,8 @@ pub struct WindowScratch {
     /// The window in storage precision (see the `window` module): the lo
     /// corner's `dim` values, then the hi corner's.
     corners: Vec<f32>,
-    /// (inner node index, next entry position) — explicit DFS stack so
-    /// the enumeration can pause between leaves.
+    /// (inner node, next child node) — explicit DFS stack so the
+    /// enumeration can pause between leaves.
     stack: Vec<(u32, u32)>,
     /// Hits of the current leaf; `hit_at` is the drain position.
     hits: Vec<u32>,
@@ -289,13 +274,15 @@ pub fn nearest_run<S: CoordSource>(src: &S, ids: Range<u32>, q: &[f64]) -> Vec<(
 /// Lazy depth-first window-query cursor. See [`RStarTree::window`].
 ///
 /// The cursor works one leaf at a time: when the descent reaches a leaf
-/// whose bounds intersect the window, the whole leaf is scanned in one
+/// whose box intersects the window, the whole leaf is scanned in one
 /// tight loop into a hit buffer (so the containment tests and the
 /// scattered coordinate reads stay hot, uninterrupted by the caller),
-/// and `next()` then drains the buffer. Leaves whose bounds are *fully
+/// and `next()` then drains the buffer. Leaves whose boxes are *fully
 /// contained* in the window skip the coordinate reads entirely — every
-/// id is a hit by construction. Pausing granularity is one leaf
-/// (at most `max_entries` points scanned beyond where the caller stops).
+/// id is a hit by construction. The descent tests a node's children on
+/// one contiguous run of the tree's boxes (see the `tree` module).
+/// Pausing granularity is one leaf (at most `max_entries` points
+/// scanned beyond where the caller stops).
 ///
 /// Callers that verify candidates in blocks consume whole leaves through
 /// [`WindowCursor::next_batch`] instead of the per-id [`Iterator`]; both
@@ -324,12 +311,14 @@ impl<'t, S: CoordSource, B: BorrowMut<WindowScratch>> WindowCursor<'t, S, B> {
         st.hits.clear();
         st.hit_at = 0;
         let mut cursor = WindowCursor { tree, src, buf };
-        // A single-leaf tree scans the root directly; taller trees start
-        // with the root on the inner-node stack.
-        if tree.nodes[tree.root].is_leaf() {
-            cursor.scan_leaf(tree.root, false);
+        // A single-leaf tree scans the root directly (it has no stored
+        // box); taller trees start with the root on the inner-node stack.
+        let root = tree.root();
+        if tree.is_leaf(root) {
+            cursor.scan_leaf(root, false);
         } else {
-            cursor.buf.borrow_mut().stack.push((tree.root as u32, 0));
+            let first = tree.spans[root].first;
+            cursor.buf.borrow_mut().stack.push((root as u32, first));
         }
         cursor
     }
@@ -357,36 +346,34 @@ impl<'t, S: CoordSource, B: BorrowMut<WindowScratch>> WindowCursor<'t, S, B> {
     /// scan it into the hit buffer. `None` when the traversal is done.
     fn descend_to_next_leaf(&mut self) -> Option<()> {
         let tree = self.tree;
-        let dim = tree.dim();
         loop {
             let st = self.buf.borrow_mut();
             let top = st.stack.last_mut()?;
-            let (n, pos) = (&tree.nodes[top.0 as usize], top.1 as usize);
-            if pos >= n.children.len() {
+            let (node, child) = (top.0 as usize, top.1 as usize);
+            if child >= tree.spans[node].range().end {
                 st.stack.pop();
                 continue;
             }
             top.1 += 1;
-            let (blo, bhi) = child_bounds(n, dim, pos);
+            let (blo, bhi) = tree.run_bounds(child..child + 1).split_at(tree.dim());
             let window = Window32::from_corners(&st.corners);
             if window.intersects(blo, bhi) {
-                let c = n.children[pos];
-                // Children of a level-1 node are leaves.
-                if n.level == 1 {
+                // All leaves share one depth: a leaf child ends the descent.
+                if tree.is_leaf(child) {
                     let contained = window.contains_box(blo, bhi);
-                    self.scan_leaf(c as usize, contained);
+                    self.scan_leaf(child, contained);
                     return Some(());
                 }
-                st.stack.push((c, 0));
+                st.stack.push((child as u32, tree.spans[child].first));
             }
         }
     }
 
-    /// Refill the hit buffer from leaf `idx`: all of it when the leaf is
+    /// Refill the hit buffer from leaf `leaf`: all of it when the leaf is
     /// `fully_contained`, else the points inside the window, compacted
     /// without a branch on the (unpredictable) test outcome.
-    fn scan_leaf(&mut self, idx: usize, fully_contained: bool) {
-        let ids = &self.tree.nodes[idx].children[..];
+    fn scan_leaf(&mut self, leaf: usize, fully_contained: bool) {
+        let ids = self.tree.leaf_ids(leaf);
         let st = self.buf.borrow_mut();
         st.hit_at = 0;
         st.hits.clear();
@@ -418,7 +405,7 @@ impl<S: CoordSource, B: BorrowMut<WindowScratch>> Iterator for WindowCursor<'_, 
                 st.hit_at += 1;
                 return Some(id);
             }
-            // Descend to the next leaf whose bounds intersect the window.
+            // Descend to the next leaf whose box intersects the window.
             self.descend_to_next_leaf()?;
         }
     }
@@ -486,28 +473,30 @@ impl<S: CoordSource> Iterator for NearestIter<'_, S> {
             match item.kind {
                 ItemKind::Point(id) => return Some((id, item.dist2)),
                 ItemKind::Node(idx) => {
-                    let n = &self.tree.nodes[idx];
+                    let tree = self.tree;
+                    let run = tree.spans[idx].range();
                     let q: &[f64] = &self.q;
-                    self.heap.reserve(n.children.len());
-                    if n.is_leaf() {
+                    self.heap.reserve(run.len());
+                    if tree.is_leaf(idx) {
                         // Two phases: first a pure distance pass whose loads
                         // are independent (the out-of-order core overlaps the
                         // scattered store reads), then the heap pushes.
+                        let ids = tree.leaf_ids(idx);
                         self.dists.clear();
                         self.dists
-                            .extend(n.children.iter().map(|&c| sq_dist(q, self.src.coords(c))));
-                        for (&c, &d) in n.children.iter().zip(&self.dists) {
+                            .extend(ids.iter().map(|&c| sq_dist(q, self.src.coords(c))));
+                        for (&c, &d) in ids.iter().zip(&self.dists) {
                             self.heap.push(Reverse(HeapItem {
                                 dist2: d,
                                 kind: ItemKind::Point(c),
                             }));
                         }
                     } else {
-                        for (&c, b) in n.children.iter().zip(n.bounds.chunks_exact(2 * dim)) {
+                        for (c, b) in run.clone().zip(tree.run_bounds(run).chunks_exact(2 * dim)) {
                             let (blo, bhi) = b.split_at(dim);
                             self.heap.push(Reverse(HeapItem {
                                 dist2: geom::min_dist2(blo, bhi, q),
-                                kind: ItemKind::Node(c as usize),
+                                kind: ItemKind::Node(c),
                             }));
                         }
                     }
@@ -756,6 +745,112 @@ mod tests {
         ids.sort_unstable();
         let want: Vec<u32> = (0..64).collect();
         assert_eq!(ids, want);
+    }
+
+    /// Reference for the cursor: a recursive depth-first walk over the
+    /// arena, testing the window in `f64`, with one batch per leaf that
+    /// holds a hit.
+    fn dfs_batches(tree: &RStarTree, src: &OwnedCoords, lo: &[f64], hi: &[f64]) -> Vec<Vec<u32>> {
+        fn walk(
+            tree: &RStarTree,
+            src: &OwnedCoords,
+            (lo, hi): (&[f64], &[f64]),
+            node: usize,
+            out: &mut Vec<Vec<u32>>,
+        ) {
+            if tree.is_leaf(node) {
+                let hits: Vec<u32> = tree
+                    .leaf_ids(node)
+                    .iter()
+                    .copied()
+                    .filter(|&id| geom::window_contains_point(lo, hi, src.coords(id)))
+                    .collect();
+                if !hits.is_empty() {
+                    out.push(hits);
+                }
+                return;
+            }
+            let (dim, run) = (tree.dim(), tree.spans[node].range());
+            for (c, b) in run.clone().zip(tree.run_bounds(run).chunks_exact(2 * dim)) {
+                let (blo, bhi) = b.split_at(dim);
+                if geom::window_intersects(lo, hi, blo, bhi) {
+                    walk(tree, src, (lo, hi), c, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(tree, src, (lo, hi), tree.root(), &mut out);
+        out
+    }
+
+    fn cursor_batches<B: BorrowMut<WindowScratch>>(
+        mut cursor: WindowCursor<'_, OwnedCoords, B>,
+    ) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        while let Some(batch) = cursor.next_batch() {
+            out.push(batch.to_vec());
+        }
+        out
+    }
+
+    #[test]
+    fn cursor_batches_equal_a_depth_first_walk() {
+        // One scratch across every tree, each probe after a cursor
+        // abandoned mid-window: the cursor must hand out the reference's
+        // batches, batch for batch, on both arms of the probe kernel
+        // (dims 1-3 portable, >= 4 SSE2 on x86_64).
+        let mut buf = WindowScratch::new();
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut unit = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for cap in [4, 8, 32] {
+            for dim in [1, 2, 3, 4, 5, 8] {
+                // Empty, one point, one full leaf, many leaves, and many
+                // leaves over a 4-value grid (every axis full of ties).
+                for (n, ties) in [
+                    (0, false),
+                    (1, false),
+                    (cap, false),
+                    (700, false),
+                    (700, true),
+                ] {
+                    let flat = (0..n * dim)
+                        .map(|_| {
+                            let v = unit() * 100.0;
+                            (if ties { (v / 25.0).floor() * 25.0 } else { v }) as f32
+                        })
+                        .collect();
+                    let src = OwnedCoords::from_flat(dim, flat);
+                    let ids: Vec<u32> = (0..n as u32).collect();
+                    let tree = RStarTree::bulk_load_with_capacity(&src, &ids, cap);
+                    tree.check_invariants(&src);
+                    let at = |id: u32| src.coords(id).iter().map(|&v| v as f64).collect();
+                    let centers: Vec<Vec<f64>> = if n == 0 {
+                        vec![vec![50.0; dim]]
+                    } else {
+                        vec![at(0), at(n as u32 / 2), vec![50.0; dim]]
+                    };
+                    for center in &centers {
+                        for side in [0.0, 100.0 * 0.02f64.powf(1.0 / dim as f64), 60.0, 300.0] {
+                            let window = Rect::centered_cube(center, side);
+                            let want = dfs_batches(&tree, &src, window.lo(), window.hi());
+                            let what = format!("cap {cap} dim {dim} n {n} ties {ties} side {side}");
+                            assert_eq!(cursor_batches(tree.window(&src, &window)), want, "{what}");
+                            let cursor = tree.window_cube_in(&src, center, side, &mut buf);
+                            assert_eq!(cursor_batches(cursor), want, "{what}, shared scratch");
+                            // Abandon a cursor one batch and one id in.
+                            let mut cursor = tree.window_cube_in(&src, center, side, &mut buf);
+                            let _ = cursor.next_batch();
+                            let _ = cursor.next();
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

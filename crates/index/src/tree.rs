@@ -1,19 +1,33 @@
-//! The R*-tree proper: flat arena storage, built once by bulk loading
-//! ([`RStarTree::bulk_load`]) and never mutated afterwards. The node
-//! layout and the query algorithms are those of Beckmann, Kriegel,
+//! The R*-tree proper: one packed arena per tree, built once by bulk
+//! loading ([`RStarTree::bulk_load`]) and never mutated afterwards. The
+//! node layout and the query algorithms are those of Beckmann, Kriegel,
 //! Schneider, Seeger: "The R*-tree: an efficient and robust access method
 //! for points and rectangles" (SIGMOD 1990); a point set that changes is
 //! indexed by bulk-loading new trees, not by editing old ones.
 //!
-//! # Flat layout
+//! # Packed arena
 //!
-//! The tree owns **no coordinates**. A node is two parallel flat arrays:
-//! `children` (point ids in leaves, arena node indexes in inner nodes)
-//! and `bounds` (inner nodes only: one inline `2 * dim` run of
-//! `lo_0..lo_{d-1}, hi_0..hi_{d-1}` per child). Leaf coordinates are
-//! resolved on demand through a [`CoordSource`], so a leaf scan walks a
-//! dense id array plus one contiguous coordinate buffer — no per-entry
-//! boxes, no rectangle cloning anywhere on the descent.
+//! STR packing lays the nodes out level by level — the leaves first, then
+//! their parents, the root last — and the children of any inner node are
+//! a contiguous run of the level below. A tree is therefore three flat
+//! arrays, each allocated once at its exact size:
+//!
+//! * `ids` — every point id, leaf after leaf (the bulk loader's order);
+//! * `spans` — one `(first, count)` per node, numbered in that level
+//!   order: a leaf's run of `ids`, an inner node's run of child nodes.
+//!   The level of a node is implied by the range its number falls in
+//!   (nodes `0..leaves` are the leaves), so no child-index array exists;
+//! * `bounds` — the MBR of every node but the root, `lo_0..lo_{d-1},
+//!   hi_0..hi_{d-1}` at `bounds[node * 2 * dim ..]`. The boxes a descent
+//!   tests at one node are its children's: one contiguous run.
+//!
+//! The tree owns **no coordinates**: a leaf is a run of ids resolved on
+//! demand through a [`CoordSource`], so `L` trees share one projection
+//! store. Every leaf sits at the same depth, so a descent knows a node
+//! is a leaf from its number alone, and a depth-first walk meets the
+//! leaves in node order.
+
+use std::ops::Range;
 
 use crate::coords::CoordSource;
 use crate::rect::{geom, Rect};
@@ -21,62 +35,43 @@ use crate::rect::{geom, Rect};
 /// Default maximum entries per node.
 pub(crate) const DEFAULT_MAX_ENTRIES: usize = 32;
 
-/// One node of the arena: `children[j]` is a point id (leaves) or an
-/// arena index (inner nodes); inner nodes keep child `j`'s bounding box
-/// inline at `bounds[j*2*dim .. (j+1)*2*dim]` (lo corner then hi corner).
-#[derive(Debug)]
-pub(crate) struct Node {
-    /// 0 for leaves; parents of leaves are level 1, etc.
-    pub(crate) level: u32,
-    pub(crate) children: Vec<u32>,
-    pub(crate) bounds: Vec<f32>,
+/// One node of the arena: a leaf's run of `ids`, or an inner node's run
+/// of child node numbers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub(crate) first: u32,
+    pub(crate) count: u32,
 }
 
-impl Node {
+impl Span {
     #[inline]
-    pub(crate) fn is_leaf(&self) -> bool {
-        self.level == 0
+    pub(crate) fn range(self) -> Range<usize> {
+        self.first as usize..(self.first + self.count) as usize
     }
 }
 
-/// Bounding box of child `j` of an inner node, as `(lo, hi)` slices into
-/// the node's flat bounds arena.
-#[inline]
-pub(crate) fn child_bounds(node: &Node, dim: usize, j: usize) -> (&[f32], &[f32]) {
-    node.bounds[j * 2 * dim..(j + 1) * 2 * dim].split_at(dim)
-}
-
-/// Bounding box of entry `j` of any node: inner children come from the
-/// bounds arena, leaf points degenerate to their coordinates (same slice
-/// as both corners).
-#[inline]
-pub(crate) fn entry_bounds<'a, S: CoordSource>(
-    node: &'a Node,
-    dim: usize,
-    src: &'a S,
-    j: usize,
-) -> (&'a [f32], &'a [f32]) {
-    if node.is_leaf() {
-        let c = src.coords(node.children[j]);
-        (c, c)
-    } else {
-        child_bounds(node, dim, j)
-    }
+/// Node count of every level of a tree with `leaves` leaves and fan-out
+/// `max_entries`, leaves first and the root's level (width 1) last.
+pub(crate) fn level_widths(leaves: usize, max_entries: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(leaves), move |&w| {
+        (w > 1).then(|| w.div_ceil(max_entries))
+    })
 }
 
 /// Structure counters and footprint of one tree, for memory accounting
 /// and layout regression tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeStats {
-    /// Live arena nodes.
+    /// Arena nodes.
     pub nodes: usize,
     /// Point entries across all leaves.
     pub leaf_entries: usize,
     /// Child entries across all inner nodes.
     pub inner_entries: usize,
-    /// Heap footprint of the tree structure in bytes (arena, children,
-    /// inline bounds). Point coordinates are *not* included — they live
-    /// in the [`CoordSource`], owned and accounted once by the caller.
+    /// Heap footprint of the tree structure in bytes: the tree itself
+    /// and its three arena arrays (ids, node spans, non-root bounds), at
+    /// capacity. Point coordinates are *not* included — they live in the
+    /// [`CoordSource`], owned and accounted once by the caller.
     pub structure_bytes: usize,
 }
 
@@ -95,21 +90,27 @@ pub struct TreeStats {
 pub struct RStarTree {
     pub(crate) dim: usize,
     pub(crate) max_entries: usize,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) root: usize,
-    pub(crate) len: usize,
+    /// Number of leaves: nodes `0..leaves`.
+    pub(crate) leaves: usize,
+    /// Point ids, leaf after leaf.
+    pub(crate) ids: Vec<u32>,
+    /// One span per node, leaves first, the root last.
+    pub(crate) spans: Vec<Span>,
+    /// `2 * dim` values per node but the root: its lo corner, then its
+    /// hi corner.
+    pub(crate) bounds: Vec<f32>,
 }
 
 impl RStarTree {
     /// Number of points in the tree.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.ids.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ids.is_empty()
     }
 
     /// Coordinate dimensionality.
@@ -120,7 +121,32 @@ impl RStarTree {
 
     /// Height of the tree: 1 for a single leaf node.
     pub fn height(&self) -> usize {
-        self.nodes[self.root].level as usize + 1
+        level_widths(self.leaves, self.max_entries).count()
+    }
+
+    /// Number of the root node (the last one).
+    #[inline]
+    pub(crate) fn root(&self) -> usize {
+        self.spans.len() - 1
+    }
+
+    #[inline]
+    pub(crate) fn is_leaf(&self, node: usize) -> bool {
+        node < self.leaves
+    }
+
+    /// The ids of leaf `leaf`.
+    #[inline]
+    pub(crate) fn leaf_ids(&self, leaf: usize) -> &[u32] {
+        &self.ids[self.spans[leaf].range()]
+    }
+
+    /// The boxes of the nodes of `run` (never the root), `2 * dim`
+    /// values each.
+    #[inline]
+    pub(crate) fn run_bounds(&self, run: Range<usize>) -> &[f32] {
+        let w = 2 * self.dim;
+        &self.bounds[run.start * w..run.end * w]
     }
 
     /// Exact minimum bounding rectangle of the whole tree, `None` if empty.
@@ -129,60 +155,57 @@ impl RStarTree {
             None
         } else {
             let (mut lo, mut hi) = (Vec::new(), Vec::new());
-            self.node_mbr_into(src, self.root, &mut lo, &mut hi);
+            self.node_mbr_into(src, self.root(), &mut lo, &mut hi);
             let lo64: Vec<f64> = lo.iter().map(|&v| v as f64).collect();
             let hi64: Vec<f64> = hi.iter().map(|&v| v as f64).collect();
             Some(Rect::new(&lo64, &hi64))
         }
     }
 
-    /// Append `node` to the arena; returns its index.
-    pub(crate) fn alloc(&mut self, node: Node) -> usize {
-        self.nodes.push(node);
-        self.nodes.len() - 1
-    }
-
-    /// Exact MBR of node `idx`, written into `lo`/`hi` (resized to `dim`).
+    /// Exact MBR of node `node`, written into `lo`/`hi` (resized to
+    /// `dim`): over its points' coordinates for a leaf, over its
+    /// children's stored boxes for an inner node.
     pub(crate) fn node_mbr_into<S: CoordSource>(
         &self,
         src: &S,
-        idx: usize,
+        node: usize,
         lo: &mut Vec<f32>,
         hi: &mut Vec<f32>,
     ) {
-        let node = &self.nodes[idx];
-        debug_assert!(!node.children.is_empty(), "node_mbr on empty node");
-        let (flo, fhi) = entry_bounds(node, self.dim, src, 0);
+        let run = self.spans[node].range();
+        debug_assert!(!run.is_empty(), "node_mbr on empty node");
+        // Enlarging from (+inf, -inf) copies the first entry exactly.
         lo.clear();
-        lo.extend_from_slice(flo);
+        lo.resize(self.dim, f32::INFINITY);
         hi.clear();
-        hi.extend_from_slice(fhi);
-        for j in 1..node.children.len() {
-            let (elo, ehi) = entry_bounds(node, self.dim, src, j);
-            geom::enlarge(lo, hi, elo, ehi);
+        hi.resize(self.dim, f32::NEG_INFINITY);
+        if self.is_leaf(node) {
+            for &id in &self.ids[run] {
+                let c = src.coords(id);
+                geom::enlarge(lo, hi, c, c);
+            }
+        } else {
+            for b in self.run_bounds(run).chunks_exact(2 * self.dim) {
+                let (blo, bhi) = b.split_at(self.dim);
+                geom::enlarge(lo, hi, blo, bhi);
+            }
         }
     }
 
     /// Structure counters and heap footprint. See [`TreeStats`].
     pub fn stats(&self) -> TreeStats {
-        let mut s = TreeStats {
-            nodes: 0,
-            leaf_entries: 0,
-            inner_entries: 0,
+        TreeStats {
+            nodes: self.spans.len(),
+            leaf_entries: self.ids.len(),
+            inner_entries: self.spans[self.leaves..]
+                .iter()
+                .map(|s| s.count as usize)
+                .sum(),
             structure_bytes: std::mem::size_of::<Self>()
-                + self.nodes.capacity() * std::mem::size_of::<Node>(),
-        };
-        for n in &self.nodes {
-            s.structure_bytes += n.children.capacity() * std::mem::size_of::<u32>()
-                + n.bounds.capacity() * std::mem::size_of::<f32>();
-            s.nodes += 1;
-            if n.is_leaf() {
-                s.leaf_entries += n.children.len();
-            } else {
-                s.inner_entries += n.children.len();
-            }
+                + self.ids.capacity() * std::mem::size_of::<u32>()
+                + self.spans.capacity() * std::mem::size_of::<Span>()
+                + self.bounds.capacity() * std::mem::size_of::<f32>(),
         }
-        s
     }
 
     /// Approximate heap footprint of the tree structure in bytes. Leaf
@@ -194,66 +217,93 @@ impl RStarTree {
 
     /// Verify structural invariants; panics with a description on
     /// violation. Exposed for tests and debugging.
+    ///
+    /// The node ranges tile the arena: each level's spans cover the
+    /// level below (the leaves' cover `ids`) in order, and `bounds` holds
+    /// exactly one box per non-root node. Every stored box is the exact
+    /// MBR of its node, every leaf lies at the same depth — so a
+    /// depth-first walk meets the leaves in node order — and every id
+    /// appears once.
     pub fn check_invariants<S: CoordSource>(&self, src: &S) {
-        let mut seen = 0usize;
-        self.check_node(src, self.root, None, &mut seen);
-        assert_eq!(seen, self.len, "len() does not match stored points");
-        let root = &self.nodes[self.root];
-        if root.level > 0 {
+        // Each level's spans tile the one below, in order.
+        let mut below = 0..self.ids.len();
+        let mut start = 0;
+        for (level, width) in level_widths(self.leaves, self.max_entries).enumerate() {
+            let nodes = start..start + width;
             assert!(
-                root.children.len() >= 2,
+                nodes.end <= self.spans.len(),
+                "level {level} runs past the node table"
+            );
+            let mut next = below.start;
+            for node in nodes.clone() {
+                let span = self.spans[node];
+                assert_eq!(
+                    span.first as usize, next,
+                    "node {node} does not start where its left sibling ends"
+                );
+                assert!(
+                    span.count as usize <= self.max_entries,
+                    "node {node} overflows: {} entries",
+                    span.count
+                );
+                assert!(
+                    span.count > 0 || self.is_empty(),
+                    "node {node} of a non-empty tree is empty"
+                );
+                next += span.count as usize;
+            }
+            assert_eq!(next, below.end, "level {level} does not tile the one below");
+            below = nodes;
+            start += width;
+        }
+        assert_eq!(start, self.spans.len(), "nodes past the root");
+        assert_eq!(
+            self.bounds.len(),
+            self.root() * 2 * self.dim,
+            "bounds do not hold one box per non-root node"
+        );
+        if !self.is_leaf(self.root()) {
+            assert!(
+                self.spans[self.root()].count >= 2,
                 "inner root must have at least two children"
             );
         }
-    }
 
-    fn check_node<S: CoordSource>(
-        &self,
-        src: &S,
-        idx: usize,
-        expected_bounds: Option<(&[f32], &[f32])>,
-        seen: &mut usize,
-    ) {
-        let node = &self.nodes[idx];
-        assert!(
-            node.children.len() <= self.max_entries,
-            "node {idx} overflows: {} entries",
-            node.children.len()
-        );
-        if idx != self.root {
-            assert!(!node.children.is_empty(), "non-root node {idx} is empty");
-        }
-        if let Some((elo, ehi)) = expected_bounds {
-            let (mut lo, mut hi) = (Vec::new(), Vec::new());
-            self.node_mbr_into(src, idx, &mut lo, &mut hi);
+        // Stored boxes, bottom-up: each is the exact MBR of its node.
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        for node in 0..self.root() {
+            self.node_mbr_into(src, node, &mut lo, &mut hi);
+            let (slo, shi) = self.run_bounds(node..node + 1).split_at(self.dim);
             assert!(
-                elo == &lo[..] && ehi == &hi[..],
-                "stored MBR of node {idx} is not exact (level {}): stored ({elo:?}, {ehi:?}), exact ({lo:?}, {hi:?})",
-                node.level
+                slo == &lo[..] && shi == &hi[..],
+                "stored MBR of node {node} is not exact: stored ({slo:?}, {shi:?}), exact ({lo:?}, {hi:?})"
             );
         }
-        if node.is_leaf() {
-            assert!(node.bounds.is_empty(), "leaf {idx} carries arena bounds");
-            for &id in &node.children {
-                assert_eq!(src.coords(id).len(), self.dim);
-                *seen += 1;
-            }
-        } else {
-            assert_eq!(
-                node.bounds.len(),
-                node.children.len() * 2 * self.dim,
-                "inner node {idx} bounds arena out of step with its children"
-            );
-            for pos in 0..node.children.len() {
-                let c = node.children[pos] as usize;
+
+        // Depth-first from the root: every leaf at one depth, met in
+        // node order.
+        let depth = self.height() - 1;
+        let mut stack = vec![(self.root(), 0)];
+        let mut next_leaf = 0;
+        while let Some((node, d)) = stack.pop() {
+            if self.is_leaf(node) {
+                assert_eq!(d, depth, "leaf {node} at depth {d}, not {depth}");
                 assert_eq!(
-                    self.nodes[c].level + 1,
-                    node.level,
-                    "level mismatch between {idx} and child {c}"
+                    node, next_leaf,
+                    "depth-first walk meets leaf {node} out of order"
                 );
-                let (lo, hi) = child_bounds(node, self.dim, pos);
-                self.check_node(src, c, Some((lo, hi)), seen);
+                next_leaf += 1;
+            } else {
+                stack.extend(self.spans[node].range().rev().map(|c| (c, d + 1)));
             }
+        }
+        assert_eq!(next_leaf, self.leaves, "leaves unreachable from the root");
+
+        let mut ids = self.ids.clone();
+        ids.sort_unstable();
+        assert!(ids.windows(2).all(|w| w[0] != w[1]), "an id appears twice");
+        for &id in &self.ids {
+            assert_eq!(src.coords(id).len(), self.dim);
         }
     }
 }
@@ -319,6 +369,66 @@ mod tests {
         let mbr = t.mbr(&src).unwrap();
         assert_eq!(mbr.lo(), &[0.0, 0.0]);
         assert_eq!(mbr.hi(), &[14.0, 14.0]);
+    }
+
+    #[test]
+    fn structure_bytes_are_the_arena_lengths() {
+        assert_eq!(std::mem::size_of::<Span>(), 8);
+        for (side, cap) in [(0, 32), (1, 32), (5, 32), (15, 4), (15, 32), (40, 8)] {
+            let src = grid_source(side);
+            let t = RStarTree::bulk_load_with_capacity(&src, &all_ids(&src), cap);
+            t.check_invariants(&src);
+            // Sized exactly at build: no capacity slack anywhere.
+            assert_eq!(t.ids.capacity(), t.ids.len());
+            assert_eq!(t.spans.capacity(), t.spans.len());
+            assert_eq!(t.bounds.capacity(), t.bounds.len());
+            // One id per point, one span per node, one box per non-root
+            // node.
+            let s = t.stats();
+            assert_eq!(t.ids.len(), side * side);
+            assert_eq!(
+                s.nodes,
+                level_widths(t.leaves, t.max_entries).sum::<usize>()
+            );
+            assert_eq!(t.bounds.len(), (s.nodes - 1) * 2 * 2);
+            assert_eq!(
+                s.structure_bytes,
+                std::mem::size_of::<RStarTree>()
+                    + 4 * side * side
+                    + 8 * s.nodes
+                    + 16 * (s.nodes - 1),
+                "side {side} cap {cap}"
+            );
+            assert_eq!(s.inner_entries, s.nodes - 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not exact")]
+    fn check_invariants_catches_a_loose_box() {
+        let src = grid_source(15);
+        let mut t = RStarTree::bulk_load_with_capacity(&src, &all_ids(&src), 4);
+        t.bounds[0] -= 1.0;
+        t.check_invariants(&src);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not start where its left sibling ends")]
+    fn check_invariants_catches_a_gap_between_siblings() {
+        let src = grid_source(15);
+        let mut t = RStarTree::bulk_load_with_capacity(&src, &all_ids(&src), 4);
+        t.spans[0].count -= 1;
+        t.check_invariants(&src);
+    }
+
+    #[test]
+    #[should_panic(expected = "an id appears twice")]
+    fn check_invariants_catches_a_repeated_id() {
+        // All points coincide, so every box stays exact.
+        let src = OwnedCoords::from_flat(1, vec![1.0; 100]);
+        let mut t = RStarTree::bulk_load(&src, &all_ids(&src));
+        t.ids[1] = t.ids[0];
+        t.check_invariants(&src);
     }
 
     #[cfg(debug_assertions)]

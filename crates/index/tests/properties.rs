@@ -151,9 +151,10 @@ proptest! {
     }
 
     /// The structure reported by `stats` stays consistent with the
-    /// logical contents, and the flat layout never allocates coordinate
-    /// storage inside the tree (structure bytes are independent of how
-    /// large the coordinate values are).
+    /// logical contents, and the packed arena holds no coordinates:
+    /// structure bytes are the tree itself, 4 bytes per id, one 8-byte
+    /// `(first, count)` span per node and one `2 x dim` f32 box per
+    /// non-root node — nothing per point beyond its id, and no slack.
     #[test]
     fn stats_count_live_entries(
         pts in points(2, 200),
@@ -163,12 +164,11 @@ proptest! {
         let t = RStarTree::bulk_load(&src, &ids);
         let s = t.stats();
         prop_assert_eq!(s.leaf_entries, pts.len());
+        prop_assert_eq!(s.inner_entries, s.nodes - 1);
         prop_assert_eq!(s.structure_bytes, t.approx_memory());
-        // Every tree byte is structure: ids (4 bytes each) plus inner
-        // bounds — there is no per-point coordinate storage, which lives
-        // in the CoordSource.
-        let coord_bytes = std::mem::size_of_val(src.flat());
-        prop_assert!(s.structure_bytes < coord_bytes + 4096,
-            "structure {} suspiciously large vs coords {}", s.structure_bytes, coord_bytes);
+        prop_assert_eq!(
+            s.structure_bytes,
+            std::mem::size_of::<RStarTree>() + 4 * pts.len() + 8 * s.nodes + 2 * 2 * 4 * (s.nodes - 1)
+        );
     }
 }
