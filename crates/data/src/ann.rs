@@ -23,7 +23,14 @@ pub struct Neighbor {
 /// Per-query work counters, used by the ablation experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Candidates whose exact d-dimensional distance was computed.
+    /// Candidates consumed by the stopping rule (Algorithm 1, Line 6),
+    /// counted one by one as each is checked against the budget and the
+    /// `c·r` bound, up to the one that fired. Not the number of exact
+    /// distances computed: the SQ8 pre-filter skips a pruned candidate's
+    /// (see `prefilter_survivors`), and canonical mode verifies its whole
+    /// final round before consuming it in canonical order, so it can
+    /// compute more than it counts here (795 against 648 per query on
+    /// the benchmark's `hot_small` workload).
     pub candidates: usize,
     /// (r,c)-NN rounds / virtual-rehashing levels executed.
     pub rounds: usize,

@@ -280,9 +280,11 @@ fn crc32_bytewise(mut c: u32, bytes: &[u8], table: &[u32; 256]) -> u32 {
 }
 
 /// Write one length-prefixed frame: a little-endian `u32` byte count
-/// followed by `body`. Refuses (typed, [`DbLshError::InvalidParameter`])
-/// to emit a frame larger than `max_len` — the writer-side twin of the
-/// bound [`read_len_frame`] enforces before trusting a peer's prefix.
+/// followed by `body`, in a single `write_all` (one segment on a
+/// `TCP_NODELAY` socket, not a 4-byte one and then the body). Refuses
+/// (typed, [`DbLshError::InvalidParameter`]) to emit a frame larger than
+/// `max_len` — the writer-side twin of the bound [`read_len_frame`]
+/// enforces before trusting a peer's prefix.
 pub fn write_len_frame<W: Write>(w: &mut W, body: &[u8], max_len: u32) -> Result<(), DbLshError> {
     let len = u32::try_from(body.len())
         .ok()
@@ -296,9 +298,10 @@ pub fn write_len_frame<W: Write>(w: &mut W, body: &[u8], max_len: u32) -> Result
                 ),
             )
         })?;
-    w.write_all(&len.to_le_bytes())
-        .and_then(|()| w.write_all(body))
-        .map_err(|e| DbLshError::io("write", e))
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame).map_err(|e| DbLshError::io("write", e))
 }
 
 /// Read one length-prefixed frame written by [`write_len_frame`].
@@ -1098,6 +1101,30 @@ mod tests {
         assert_eq!(read_len_frame(&mut r, 64).unwrap().unwrap(), b"hello");
         assert_eq!(read_len_frame(&mut r, 64).unwrap().unwrap(), b"");
         assert!(read_len_frame(&mut r, 64).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_frame_goes_out_in_one_write() {
+        /// Records the size of every `write` call.
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new());
+        write_len_frame(&mut w, b"hello", 64).unwrap();
+        write_len_frame(&mut w, b"world!", 64).unwrap();
+        assert_eq!(w.0, [4 + 5, 4 + 6]);
+        assert!(matches!(
+            write_len_frame(&mut w, &[0u8; 65], 64),
+            Err(DbLshError::InvalidParameter { .. })
+        ));
+        assert_eq!(w.0.len(), 2, "a refused frame writes nothing");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!               │ TCP, length-prefixed CRC-checked frames
 //!               ▼
 //!           DbLshServer            (acceptor + per-conn reader/writer)
-//!               │ non-blocking try_* submission
+//!               │ Engine::try_run: inline on the reader when idle
 //!               ▼
 //!           Engine                 (bounded queue = admission control)
 //!               │ canonical round-exhaustive ladder
@@ -44,11 +44,14 @@
 //! ## Semantics worth relying on
 //!
 //! * **Admission control is inherited, not reimplemented.** Connection
-//!   threads submit through the engine's non-blocking `try_*` API; a
-//!   full queue answers [`dblsh_data::DbLshError::Busy`] over the wire
-//!   and counts in [`dblsh_serve::EngineStats::rejected`]. A slow
-//!   engine backs pressure up through the per-connection in-flight cap
-//!   into TCP itself.
+//!   threads submit through the engine's non-blocking
+//!   [`dblsh_serve::Engine::try_run`]; a full queue answers
+//!   [`dblsh_data::DbLshError::Busy`] over the wire and counts in
+//!   [`dblsh_serve::EngineStats::rejected`]. A slow engine backs
+//!   pressure up through the per-connection in-flight cap into TCP
+//!   itself. A quiet connection's request runs inline on its reader
+//!   thread when the engine is idle (see [`server`]), within the same
+//!   `workers` execution slots.
 //! * **Graceful drain.** [`DbLshServer::shutdown`] stops accepting,
 //!   refuses new connects with a typed `Shutdown` frame, finishes every
 //!   accepted request, flushes every response, then joins all threads.

@@ -1,12 +1,12 @@
 //! The threaded TCP server: an acceptor thread plus a reader/writer
-//! thread pair per connection, dispatching decoded requests onto the
+//! thread pair per connection, serving decoded requests through the
 //! caller's [`Engine`] so its bounded queue *is* the admission control.
 //!
 //! Layering (top to bottom):
 //!
 //! ```text
 //! DbLshClient ──TCP──▶ DbLshServer (acceptor + per-conn reader/writer)
-//!                          │  try_* submission (non-blocking)
+//!                          │  Engine::try_run (non-blocking)
 //!                          ▼
 //!                      Engine (bounded queue + worker pool)
 //!                          │  canonical ladder, per-shard RwLocks
@@ -14,9 +14,32 @@
 //!                      ShardedDbLsh
 //! ```
 //!
+//! * **Two paths.** A request runs on the connection's reader thread,
+//!   which writes the reply itself, when nothing of that connection's
+//!   is in flight, no further bytes are buffered after its frame, the
+//!   engine's queue is empty and an execution slot is free. A quiet
+//!   closed-loop caller thus costs one thread and two socket calls per
+//!   request. Everything else — frames that arrive together, a
+//!   backlog, a busy pool — takes the queued path: reader → engine
+//!   queue → worker → the connection's writer thread. The gate sees
+//!   only bytes already read, so a pipelining client whose frames
+//!   arrive spaced out has its first frame run inline, and the frames
+//!   behind it wait unread until that one finishes instead of starting
+//!   on another worker: the gain is for closed-loop connections.
+//!   Replies that need no engine (ping, stats, metrics, protocol
+//!   errors) follow the same rule: written by the reader when nothing
+//!   is in flight, else queued to the writer. The writer counts a
+//!   reply out only once it is written, so a direct reply never
+//!   overtakes or interleaves with an earlier one.
 //! * A full engine queue never blocks a connection thread: submissions
-//!   go through the engine's `try_*` API, and a refusal comes back over
-//!   the wire as a typed [`DbLshError::Busy`] error response.
+//!   go through [`Engine::try_run`], and a refusal comes back over the
+//!   wire as a typed [`DbLshError::Busy`] error response. Inline
+//!   execution never bypasses that: the engine runs a request inline
+//!   only while its queue is empty and a slot free, so at most
+//!   `workers` requests execute at once.
+//! * Every frame goes out in one `write` (length prefix and body
+//!   together), and the reader pulls up to 64 KiB per `read` into a
+//!   reusable buffer.
 //! * Malformed bytes never kill the connection thread: oversized or
 //!   lying length prefixes, bad magic, checksum mismatches, and stale
 //!   versions are all answered with typed protocol error frames (the
@@ -26,8 +49,10 @@
 //!   every already-accepted request finish and its response flush, then
 //!   closes. Accepted work is never dropped; new connects are refused
 //!   with a `Shutdown` error frame.
+//! * Memory: a connection thread that runs queries inline warms its own
+//!   per-thread prober scratch on its first one, as a worker does — at
+//!   most `max_connections` of them beside the engine's workers'.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -36,8 +61,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dblsh_data::io::write_len_frame;
-use dblsh_data::{DbLshError, Neighbor, QueryStats, SearchResult};
-use dblsh_serve::{Engine, Ticket};
+use dblsh_data::DbLshError;
+use dblsh_serve::{Engine, Op, OpTicket};
 
 use crate::proto::{
     decode_frame, encode_response, Message, MetricsFormat, NetError, Request, Response,
@@ -117,16 +142,16 @@ struct Shared {
     stats: SharedStats,
 }
 
-/// What a reader hands its connection's writer: either an engine ticket
-/// still being worked, or a response that needed no engine trip
-/// (protocol errors, refusals, pings answered in the reader for
-/// simplicity would reorder — so even pings flow through here).
+/// A dispatched request's reply: either an engine ticket still being
+/// worked (always handed to the connection's writer), or a response
+/// already known — the request ran inline, or needed no engine trip
+/// (pings, stats, metrics, protocol errors, refusals). A ready reply is
+/// written by the reader itself when nothing is in flight; otherwise it
+/// queues behind the earlier replies at the writer, which keeps every
+/// connection's replies in request order.
 enum Pending {
-    Search(u64, Ticket<SearchResult>),
-    RcNn(u64, Ticket<(Option<Neighbor>, QueryStats)>),
-    Insert(u64, Ticket<u32>),
-    Remove(u64, Ticket<bool>),
-    Immediate(u64, Response),
+    Queued(u64, OpTicket),
+    Ready(u64, Response),
 }
 
 /// The TCP front door. Owns the acceptor thread and every connection
@@ -318,8 +343,8 @@ fn refuse(shared: &Shared, stream: TcpStream, err: NetError) {
     // Some platforms hand accepted sockets the listener's non-blocking
     // mode; the bounded drain below needs timed blocking reads.
     let _ = stream.set_nonblocking(false);
-    let body = encode_response(0, &Response::Error(err));
-    let _ = write_len_frame(&mut stream, &body, shared.config.max_frame);
+    let response = Response::Error(err);
+    let _ = send_response(&mut stream, 0, &response, shared.config.max_frame);
     let _ = stream.flush();
     let _ = stream.shutdown(SockShutdown::Write);
     let deadline = Instant::now() + REFUSE_DRAIN;
@@ -340,20 +365,29 @@ fn refuse(shared: &Shared, stream: TcpStream, err: NetError) {
     }
 }
 
-/// Incremental frame reader that survives read timeouts: `read_exact`
-/// would drop already-read bytes on `WouldBlock`, so partial length
-/// prefixes and bodies are retained across polls. The length prefix is
-/// validated against `max_frame` *before* any body allocation.
+/// Bytes of a frame's little-endian `u32` length prefix.
+const PREFIX: usize = 4;
+
+/// Bytes the frame reader asks the socket for per `read`.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Buffered frame reader that survives read timeouts: it pulls up to
+/// [`READ_CHUNK`] bytes per `read` into one reusable buffer, so a
+/// partial frame is kept across polls and the bytes after a frame start
+/// the next one. A length prefix is validated against `max_frame`
+/// *before* the buffer grows to fit its body.
 struct FrameReader {
-    prefix: [u8; 4],
-    prefix_filled: usize,
-    body: Vec<u8>,
-    body_filled: usize,
+    buf: Vec<u8>,
+    /// First byte not yet handed out.
+    start: usize,
+    /// One past the last byte read.
+    end: usize,
 }
 
-enum ReadStep {
-    /// A complete frame body.
-    Frame(Vec<u8>),
+enum ReadStep<'a> {
+    /// A complete frame body; `more` when bytes after it are already
+    /// buffered (the peer is pipelining).
+    Frame { body: &'a [u8], more: bool },
     /// No bytes pending and none buffered — safe point to check
     /// drain/idle deadlines.
     IdleBoundary,
@@ -372,76 +406,77 @@ enum ReadStep {
 impl FrameReader {
     fn new() -> FrameReader {
         FrameReader {
-            prefix: [0; 4],
-            prefix_filled: 0,
-            body: Vec::new(),
-            body_filled: 0,
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
         }
     }
 
-    fn mid_frame(&self) -> bool {
-        self.prefix_filled > 0 || self.body_filled > 0
-    }
-
-    fn step(&mut self, stream: &mut TcpStream, max_frame: u32) -> ReadStep {
+    fn step(&mut self, stream: &mut impl Read, max_frame: u32) -> ReadStep<'_> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            // Give back what one large frame grew the buffer to.
+            if self.buf.len() > READ_CHUNK {
+                self.buf = vec![0; READ_CHUNK];
+            }
+        }
         loop {
-            if self.prefix_filled < 4 {
-                match stream.read(&mut self.prefix[self.prefix_filled..]) {
-                    Ok(0) => {
-                        return if self.mid_frame() {
-                            ReadStep::Broken
-                        } else {
-                            ReadStep::Eof
-                        }
-                    }
-                    Ok(n) => {
-                        self.prefix_filled += n;
-                        if self.prefix_filled < 4 {
-                            continue;
-                        }
-                        let len = u32::from_le_bytes(self.prefix);
-                        if len > max_frame {
-                            return ReadStep::TooLarge(len);
-                        }
-                        self.body = vec![0u8; len as usize];
-                        self.body_filled = 0;
-                    }
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                    {
-                        return if self.mid_frame() {
-                            ReadStep::MidFrame
-                        } else {
-                            ReadStep::IdleBoundary
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return ReadStep::Broken,
+            let mut need = PREFIX;
+            if let Some(prefix) = self.buf[self.start..self.end].first_chunk::<PREFIX>() {
+                let len = u32::from_le_bytes(*prefix);
+                if len > max_frame {
+                    return ReadStep::TooLarge(len);
+                }
+                need += len as usize;
+                let frame_end = self.start + need;
+                if frame_end <= self.end {
+                    let body = self.start + PREFIX..frame_end;
+                    self.start = frame_end;
+                    return ReadStep::Frame {
+                        body: &self.buf[body],
+                        more: frame_end < self.end,
+                    };
                 }
             }
-            if self.body_filled < self.body.len() {
-                match stream.read(&mut self.body[self.body_filled..]) {
-                    Ok(0) => return ReadStep::Broken,
-                    Ok(n) => {
-                        self.body_filled += n;
-                        if self.body_filled < self.body.len() {
-                            continue;
-                        }
-                    }
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                    {
-                        return ReadStep::MidFrame
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return ReadStep::Broken,
+            // Make room for the whole pending frame: move its bytes to
+            // the front and, for a frame over one chunk, grow (its length
+            // was checked above).
+            if self.start + need > self.buf.len() {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+                if need > self.buf.len() {
+                    self.buf.resize(need, 0);
                 }
             }
-            self.prefix_filled = 0;
-            self.body_filled = 0;
-            return ReadStep::Frame(std::mem::take(&mut self.body));
+            let to = self.buf.len().min(self.end + READ_CHUNK);
+            match stream.read(&mut self.buf[self.end..to]) {
+                Ok(0) if self.start == self.end => return ReadStep::Eof,
+                Ok(0) => return ReadStep::Broken,
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    return if self.start == self.end {
+                        ReadStep::IdleBoundary
+                    } else {
+                        ReadStep::MidFrame
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return ReadStep::Broken,
+            }
         }
     }
+}
+
+/// Encode `response` and write it as one frame (one `write`).
+fn send_response(
+    stream: &mut TcpStream,
+    id: u64,
+    response: &Response,
+    max_frame: u32,
+) -> Result<(), DbLshError> {
+    write_len_frame(stream, &encode_response(id, response), max_frame)
 }
 
 fn connection_loop(mut stream: TcpStream, shared: &Shared) {
@@ -451,17 +486,21 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
         Ok(s) => s,
         Err(_) => return,
     };
+    let max_frame = shared.config.max_frame;
 
+    // Replies handed to the writer and not yet written. Only this reader
+    // raises it; only the writer lowers it, after a reply is out.
+    let in_flight = Arc::new(AtomicUsize::new(0));
     // Reader → writer queue, bounded at the in-flight cap: a reader that
     // decodes faster than the engine answers blocks here, which stops it
     // pulling frames, which backs TCP up to the client — end-to-end
     // backpressure with no unbounded buffer anywhere.
     let (tx, rx) = mpsc::sync_channel::<Pending>(shared.config.max_in_flight.max(1));
     let writer = {
-        let max_frame = shared.config.max_frame;
+        let in_flight = Arc::clone(&in_flight);
         thread::Builder::new()
             .name("dblsh-net-writer".into())
-            .spawn(move || writer_loop(write_stream, rx, max_frame))
+            .spawn(move || writer_loop(write_stream, rx, max_frame, &in_flight))
     };
     let writer = match writer {
         Ok(h) => h,
@@ -471,18 +510,31 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
     let mut reader = FrameReader::new();
     let mut last_activity = Instant::now();
     loop {
-        match reader.step(&mut stream, shared.config.max_frame) {
-            ReadStep::Frame(body) => {
+        match reader.step(&mut stream, max_frame) {
+            ReadStep::Frame { body, more } => {
                 last_activity = Instant::now();
                 // order: standalone lifetime counter, reporting only.
                 shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                let pending = dispatch(&body, shared);
-                if matches!(&pending, Pending::Immediate(_, Response::Error(_))) {
-                    // order: standalone lifetime counter, reporting only.
-                    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                }
-                if tx.send(pending).is_err() {
-                    break; // writer gone (socket died)
+                // order: Acquire pairs with the writer's Release decrement:
+                // reading 0 means every reply handed over is fully written
+                // and the writer is idle until this reader hands it more,
+                // so a reply written here cannot overtake or interleave.
+                let direct = !more && in_flight.load(Ordering::Acquire) == 0;
+                match dispatch(body, shared, direct) {
+                    Pending::Ready(id, response) if direct => {
+                        if send_response(&mut stream, id, &response, max_frame).is_err() {
+                            break; // socket dead
+                        }
+                    }
+                    pending => {
+                        // order: raised before the hand-off; the channel
+                        // publishes it to the writer, whose decrement
+                        // (an RMW) therefore never precedes it.
+                        in_flight.fetch_add(1, Ordering::Relaxed);
+                        if tx.send(pending).is_err() {
+                            break; // writer gone (socket died)
+                        }
+                    }
                 }
             }
             ReadStep::IdleBoundary => {
@@ -514,13 +566,12 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
                 }
             }
             ReadStep::TooLarge(len) => {
-                // order: standalone lifetime counter, reporting only.
-                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
                 let err = NetError::protocol(format!(
-                    "frame of {len} bytes exceeds the {}-byte limit",
-                    shared.config.max_frame
+                    "frame of {len} bytes exceeds the {max_frame}-byte limit"
                 ));
-                let _ = tx.send(Pending::Immediate(0, Response::Error(err)));
+                // order: counted like every hand-off (see above).
+                in_flight.fetch_add(1, Ordering::Relaxed);
+                let _ = tx.send(refused(shared, 0, err));
                 break; // framing lost: cannot resynchronise
             }
             ReadStep::Eof | ReadStep::Broken => break,
@@ -533,102 +584,206 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.shutdown(SockShutdown::Both);
 }
 
-/// Decode one frame and dispatch it onto the engine. Every failure mode
-/// maps to a typed error response; nothing here blocks on the engine
-/// queue (the `try_*` API refuses instead).
-fn dispatch(body: &[u8], shared: &Shared) -> Pending {
+/// An error reply for a request the server refused or could not parse,
+/// counted in [`ServerStats::errors`].
+fn refused(shared: &Shared, id: u64, err: NetError) -> Pending {
+    // order: standalone lifetime counter, reporting only.
+    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+    Pending::Ready(id, Response::Error(err))
+}
+
+/// Decode one frame and hand it to the engine, inline when `direct`
+/// allows and the engine is idle. Every failure mode maps to a typed
+/// error response; nothing here blocks on the engine queue (a full one
+/// refuses instead).
+fn dispatch(body: &[u8], shared: &Shared, direct: bool) -> Pending {
     let (id, msg) = match decode_frame(body) {
         Ok(decoded) => decoded,
-        Err(err) => return Pending::Immediate(0, Response::Error(err)),
+        Err(err) => return refused(shared, 0, err),
     };
     let req = match msg {
         Message::Request(req) => req,
         Message::Response(_) => {
-            return Pending::Immediate(
-                id,
-                Response::Error(NetError::protocol(
-                    "received a response frame where a request was expected",
-                )),
-            )
+            let err = NetError::protocol("received a response frame where a request was expected");
+            return refused(shared, id, err);
         }
     };
-    match req {
-        Request::Ping { token } => Pending::Immediate(id, Response::Pong { token }),
-        Request::Knn { query, k, opts } => {
-            match shared.engine.try_search_with(&query, k as usize, opts) {
-                Ok(ticket) => Pending::Search(id, ticket),
-                Err(e) => Pending::Immediate(id, Response::Error(NetError::Remote(e))),
-            }
+    let op = match req {
+        Request::Ping { token } => return Pending::Ready(id, Response::Pong { token }),
+        Request::Stats => {
+            return Pending::Ready(id, Response::Stats(Box::new(shared.engine.stats())))
         }
-        Request::RcNn { query, r } => match shared.engine.try_r_c_nn(&query, r) {
-            Ok(ticket) => Pending::RcNn(id, ticket),
-            Err(e) => Pending::Immediate(id, Response::Error(NetError::Remote(e))),
-        },
-        Request::Insert { point } => match shared.engine.try_insert(&point) {
-            Ok(ticket) => Pending::Insert(id, ticket),
-            Err(e) => Pending::Immediate(id, Response::Error(NetError::Remote(e))),
-        },
-        Request::Remove { id: point_id } => match shared.engine.try_remove(point_id) {
-            Ok(ticket) => Pending::Remove(id, ticket),
-            Err(e) => Pending::Immediate(id, Response::Error(NetError::Remote(e))),
-        },
-        Request::Stats => Pending::Immediate(id, Response::Stats(Box::new(shared.engine.stats()))),
         Request::Metrics { format } => {
             let text = match format {
                 MetricsFormat::Prometheus => shared.engine.render_metrics_prometheus(),
                 MetricsFormat::Json => shared.engine.render_metrics_json(),
             };
-            Pending::Immediate(id, Response::Metrics { text })
+            return Pending::Ready(id, Response::Metrics { text });
         }
+        Request::Knn { query, k, opts } => Op::Search {
+            query,
+            k: k as usize,
+            opts,
+        },
+        Request::RcNn { query, r } => Op::RcNn { query, r },
+        Request::Insert { point } => Op::Insert { point },
+        Request::Remove { id: point_id } => Op::Remove { id: point_id },
+    };
+    match shared.engine.try_run(op, direct) {
+        Ok((ticket, true)) => Pending::Ready(id, answer(ticket)),
+        Ok((ticket, false)) => Pending::Queued(id, ticket),
+        Err(e) => refused(shared, id, NetError::Remote(e)),
     }
 }
 
-/// Resolve pending responses in acceptance order and write them out.
-/// In-order per connection (concurrency comes from the engine's worker
-/// pool working many tickets at once, and from many connections);
-/// clients still match by request id, so the ordering is a server
-/// implementation detail, not a protocol promise.
-fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Pending>, max_frame: u32) {
-    let mut queue: VecDeque<Pending> = VecDeque::new();
-    loop {
-        let next = match queue.pop_front() {
-            Some(p) => p,
-            None => match rx.recv() {
-                Ok(p) => p,
-                Err(_) => break, // reader gone and nothing pending
-            },
+/// Write the replies the reader hands over, in acceptance order, waiting
+/// on each queued ticket in turn. In-order per connection (concurrency
+/// comes from the engine's worker pool working many tickets at once,
+/// and from many connections); clients still match by request id, so
+/// the ordering is a server implementation detail, not a protocol
+/// promise.
+fn writer_loop(
+    mut stream: TcpStream,
+    rx: mpsc::Receiver<Pending>,
+    max_frame: u32,
+    in_flight: &AtomicUsize,
+) {
+    for pending in rx.iter() {
+        let (id, response) = match pending {
+            Pending::Ready(id, response) => (id, response),
+            Pending::Queued(id, ticket) => (id, answer(ticket)),
         };
-        let (id, response) = resolve(next);
-        let body = encode_response(id, &response);
-        if write_len_frame(&mut stream, &body, max_frame).is_err() {
+        if send_response(&mut stream, id, &response, max_frame).is_err() {
             // Socket dead: drain remaining tickets so engine replies
             // are consumed, then exit. (Dropping a Ticket is safe; the
             // worker's Reply just goes unread.)
             for _ in rx.iter() {}
             return;
         }
+        // order: Release publishes the finished write to the reader's
+        // Acquire load, which may then write a reply of its own.
+        in_flight.fetch_sub(1, Ordering::Release);
     }
     let _ = stream.flush();
 }
 
-fn resolve(p: Pending) -> (u64, Response) {
-    match p {
-        Pending::Immediate(id, resp) => (id, resp),
-        Pending::Search(id, t) => match t.wait() {
-            Ok(res) => (id, Response::Knn(res)),
-            Err(e) => (id, Response::Error(NetError::Remote(e))),
-        },
-        Pending::RcNn(id, t) => match t.wait() {
-            Ok((nearest, stats)) => (id, Response::RcNn { nearest, stats }),
-            Err(e) => (id, Response::Error(NetError::Remote(e))),
-        },
-        Pending::Insert(id, t) => match t.wait() {
-            Ok(point_id) => (id, Response::Insert { id: point_id }),
-            Err(e) => (id, Response::Error(NetError::Remote(e))),
-        },
-        Pending::Remove(id, t) => match t.wait() {
-            Ok(removed) => (id, Response::Remove { removed }),
-            Err(e) => (id, Response::Error(NetError::Remote(e))),
-        },
+/// Wait for an engine ticket and turn its outcome into a response.
+fn answer(ticket: OpTicket) -> Response {
+    let outcome = match ticket {
+        OpTicket::Search(t) => t.wait().map(Response::Knn),
+        OpTicket::RcNn(t) => t
+            .wait()
+            .map(|(nearest, stats)| Response::RcNn { nearest, stats }),
+        OpTicket::Insert(t) => t.wait().map(|id| Response::Insert { id }),
+        OpTicket::Remove(t) => t.wait().map(|removed| Response::Remove { removed }),
+    };
+    outcome.unwrap_or_else(|e| Response::Error(NetError::Remote(e)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// Serves scripted `read` results: bytes in the given pieces, with a
+    /// timeout wherever a piece is `None`.
+    struct Script(VecDeque<Option<Vec<u8>>>);
+
+    impl Read for Script {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(ErrorKind::WouldBlock.into()),
+                Some(Some(mut piece)) => {
+                    let n = piece.len().min(out.len());
+                    out[..n].copy_from_slice(&piece[..n]);
+                    if n < piece.len() {
+                        self.0.push_front(Some(piece.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut f = (body.len() as u32).to_le_bytes().to_vec();
+        f.extend_from_slice(body);
+        f
+    }
+
+    /// What one `step` returned, owned.
+    #[derive(Debug, PartialEq)]
+    enum Got {
+        Frame(Vec<u8>, bool),
+        Idle,
+        Mid,
+        Eof,
+        TooLarge(u32),
+        Broken,
+    }
+
+    fn step(reader: &mut FrameReader, script: &mut Script, max_frame: u32) -> Got {
+        match reader.step(script, max_frame) {
+            ReadStep::Frame { body, more } => Got::Frame(body.to_vec(), more),
+            ReadStep::IdleBoundary => Got::Idle,
+            ReadStep::MidFrame => Got::Mid,
+            ReadStep::Eof => Got::Eof,
+            ReadStep::TooLarge(len) => Got::TooLarge(len),
+            ReadStep::Broken => Got::Broken,
+        }
+    }
+
+    #[test]
+    fn frame_reader_splits_joins_and_grows() {
+        let big: Vec<u8> = (0..READ_CHUNK + 5000).map(|i| i as u8).collect();
+        // Two small frames in one read, then a frame over one chunk split
+        // across a timeout and its own prefix, then an empty frame.
+        let mut pipelined = frame(b"abc");
+        pipelined.extend(frame(b"defg"));
+        let big_frame = frame(&big);
+        let mut script = Script(VecDeque::from([
+            Some(pipelined),
+            None,
+            Some(big_frame[..2].to_vec()),
+            None,
+            Some(big_frame[2..7000].to_vec()),
+            Some(big_frame[7000..].to_vec()),
+            Some(frame(b"")),
+        ]));
+        let mut reader = FrameReader::new();
+        let max = 1 << 20;
+        assert_eq!(
+            step(&mut reader, &mut script, max),
+            Got::Frame(b"abc".to_vec(), true)
+        );
+        assert_eq!(
+            step(&mut reader, &mut script, max),
+            Got::Frame(b"defg".to_vec(), false)
+        );
+        assert_eq!(step(&mut reader, &mut script, max), Got::Idle);
+        assert_eq!(step(&mut reader, &mut script, max), Got::Mid);
+        assert_eq!(step(&mut reader, &mut script, max), Got::Frame(big, false));
+        assert_eq!(
+            step(&mut reader, &mut script, max),
+            Got::Frame(Vec::new(), false)
+        );
+        assert_eq!(
+            reader.buf.len(),
+            READ_CHUNK,
+            "a large frame's growth is given back"
+        );
+        assert_eq!(step(&mut reader, &mut script, max), Got::Eof);
+    }
+
+    #[test]
+    fn frame_reader_refuses_oversized_prefixes_and_torn_frames() {
+        let mut script = Script(VecDeque::from([Some(frame(&[7; 100]))]));
+        assert_eq!(
+            step(&mut FrameReader::new(), &mut script, 64),
+            Got::TooLarge(100)
+        );
+        let mut script = Script(VecDeque::from([Some(frame(b"hello")[..6].to_vec())]));
+        assert_eq!(step(&mut FrameReader::new(), &mut script, 64), Got::Broken);
     }
 }

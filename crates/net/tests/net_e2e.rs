@@ -263,6 +263,94 @@ fn pipelined_requests_resolve_out_of_order() {
 }
 
 #[test]
+fn closed_loop_calls_and_pipelined_bursts_keep_order_on_one_connection() {
+    const ROUNDS: usize = 4;
+    const BURST: usize = 9;
+    const CLOSED: usize = 6;
+    let fx = fixture(800, 12, 2, 64);
+    let server = start_server(&fx.engine, ServerConfig::default());
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_nodelay(true).unwrap();
+    let opts = dblsh_core::SearchOptions::default();
+    let knn = |qi: usize| Request::Knn {
+        query: fx.data.point(qi).to_vec(),
+        k: 10,
+        opts: opts.clone(),
+    };
+    // A reply must carry the id of the request it answers, and a knn
+    // answer the sharded index's own answer, byte for byte.
+    let check = |(id, resp): (u64, Response), want_id: u64, qi: Option<usize>| {
+        assert_eq!(id, want_id, "replies must come back in request order");
+        match (resp, qi) {
+            (Response::Knn(res), Some(qi)) => {
+                let local = fx
+                    .engine
+                    .index()
+                    .search_with(fx.data.point(qi), 10, &opts)
+                    .expect("local search");
+                let bits = |r: &dblsh_data::SearchResult| -> Vec<(u32, u32)> {
+                    r.neighbors
+                        .iter()
+                        .map(|n| (n.id, n.dist.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&res), bits(&local), "request {want_id}");
+                assert_eq!(res.stats, local.stats, "request {want_id}");
+            }
+            (Response::Pong { token }, None) => assert_eq!(token, want_id),
+            (other, _) => panic!("request {want_id}: unexpected {other:?}"),
+        }
+    };
+
+    let mut next_id = 1u64;
+    let mut qi = 0usize;
+    for _ in 0..ROUNDS {
+        // A pipelined burst in one write, with a ping in its middle and
+        // one at its end: every frame but the last arrives with more
+        // bytes buffered behind it, and the last finds the earlier
+        // replies still in flight, so it must queue behind them.
+        let mut burst = Vec::new();
+        let mut sent = Vec::new();
+        for b in 0..BURST {
+            let (req, q) = if b == BURST / 2 || b == BURST - 1 {
+                (Request::Ping { token: next_id }, None)
+            } else {
+                qi = (qi + 37) % 800;
+                (knn(qi), Some(qi))
+            };
+            let body = encode_request(next_id, &req);
+            write_len_frame(&mut burst, &body, DEFAULT_MAX_FRAME).unwrap();
+            sent.push((next_id, q));
+            next_id += 1;
+        }
+        raw.write_all(&burst).expect("send burst");
+        for (id, q) in sent {
+            check(read_response_frame(&mut raw), id, q);
+        }
+        // Closed-loop calls: one request, then its reply.
+        for _ in 0..CLOSED {
+            qi = (qi + 37) % 800;
+            let body = encode_request(next_id, &knn(qi));
+            write_len_frame(&mut raw, &body, DEFAULT_MAX_FRAME).expect("send");
+            check(read_response_frame(&mut raw), next_id, Some(qi));
+            next_id += 1;
+        }
+    }
+    // The first closed-loop call after a burst may still find the burst's
+    // last reply counted in flight (the writer counts it out just after
+    // the client has read it); every later one runs inline.
+    let stats = fx.engine.stats();
+    assert!(
+        stats.inline_requests >= (ROUNDS * (CLOSED - 1)) as u64,
+        "closed-loop calls must run inline: {} of {}",
+        stats.inline_requests,
+        ROUNDS * CLOSED
+    );
+    assert_eq!(stats.knn_requests, (ROUNDS * (BURST - 2 + CLOSED)) as u64);
+    server.shutdown();
+}
+
+#[test]
 fn graceful_drain_completes_accepted_requests_then_refuses_connects() {
     // Single worker + deep queue: accepted requests pile up behind one
     // slow lane, so shutdown provably overlaps in-flight work.

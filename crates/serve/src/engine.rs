@@ -12,6 +12,21 @@
 //! once per worker and are reused across every request the worker
 //! serves. Dropping (or [`Engine::shutdown`]-ing) the engine closes the
 //! queue, drains the remaining requests, and joins the workers.
+//!
+//! **Two places a request runs.** [`Engine::try_run`] (the wire front
+//! door's one entry point) executes a request on the *calling* thread
+//! when the engine is idle — the queue is open and empty and fewer than
+//! `workers` requests are executing — and queues it otherwise. Both
+//! places run the same job handler with the same metrics, deadline check
+//! and panic containment; an inline request never waits in the queue,
+//! so its trace's [`Stage::Queue`] is zero. Admission is one count kept
+//! under the queue mutex: a worker takes an execution slot when it pops
+//! a job and releases it when the job finishes, and an inline request
+//! takes one only when one is free, so at most `workers` requests
+//! execute at once whichever thread runs them. A thread that runs
+//! requests inline warms its own per-thread prober scratch on its first
+//! query (for the wire server: one per connection thread, so bounded by
+//! its `max_connections`).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -188,29 +203,165 @@ enum Job {
     Fence(Arc<std::sync::Barrier>),
 }
 
+/// One request for [`Engine::try_run`]: the four operations a remote
+/// caller can ask for, with their arguments owned.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Op {
+    /// A (c,k)-ANN search ([`Engine::search_with`]).
+    Search {
+        /// The query point.
+        query: Vec<f32>,
+        /// Neighbors wanted.
+        k: usize,
+        /// Per-request options.
+        opts: SearchOptions,
+    },
+    /// An (r,c)-NN probe ([`Engine::r_c_nn`]).
+    RcNn {
+        /// The query point.
+        query: Vec<f32>,
+        /// The probe radius.
+        r: f64,
+    },
+    /// An insert ([`Engine::insert`]).
+    Insert {
+        /// The new point.
+        point: Vec<f32>,
+    },
+    /// A remove ([`Engine::remove`]).
+    Remove {
+        /// The global id to tombstone.
+        id: u32,
+    },
+}
+
+/// The ticket of an accepted [`Op`], typed by operation.
+#[derive(Debug)]
+pub enum OpTicket {
+    /// Resolves an [`Op::Search`].
+    Search(Ticket<SearchResult>),
+    /// Resolves an [`Op::RcNn`].
+    RcNn(Ticket<(Option<Neighbor>, QueryStats)>),
+    /// Resolves an [`Op::Insert`] to the new point's id.
+    Insert(Ticket<u32>),
+    /// Resolves an [`Op::Remove`] to whether the id was live.
+    Remove(Ticket<bool>),
+}
+
+/// The one place each job and its ticket are built: the blocking
+/// methods, the `try_*` methods and [`Engine::try_run`] all go through
+/// these, so a job's fields change in one spot.
+impl Job {
+    fn search(
+        query: Vec<f32>,
+        k: usize,
+        opts: SearchOptions,
+        deadline: Option<Duration>,
+    ) -> (Job, Ticket<SearchResult>) {
+        let (reply, ticket) = oneshot();
+        let job = Job::Search {
+            query,
+            k,
+            opts,
+            enqueued: Instant::now(),
+            deadline,
+            reply,
+        };
+        (job, ticket)
+    }
+
+    fn r_c_nn(query: Vec<f32>, r: f64) -> (Job, Ticket<(Option<Neighbor>, QueryStats)>) {
+        let (reply, ticket) = oneshot();
+        let job = Job::RcNn {
+            query,
+            r,
+            enqueued: Instant::now(),
+            reply,
+        };
+        (job, ticket)
+    }
+
+    fn insert(point: Vec<f32>) -> (Job, Ticket<u32>) {
+        let (reply, ticket) = oneshot();
+        (Job::Insert { point, reply }, ticket)
+    }
+
+    fn remove(id: u32) -> (Job, Ticket<bool>) {
+        let (reply, ticket) = oneshot();
+        (Job::Remove { id, reply }, ticket)
+    }
+}
+
+impl Op {
+    fn into_job(self) -> (Job, OpTicket) {
+        match self {
+            Op::Search { query, k, opts } => {
+                let (job, ticket) = Job::search(query, k, opts, None);
+                (job, OpTicket::Search(ticket))
+            }
+            Op::RcNn { query, r } => {
+                let (job, ticket) = Job::r_c_nn(query, r);
+                (job, OpTicket::RcNn(ticket))
+            }
+            Op::Insert { point } => {
+                let (job, ticket) = Job::insert(point);
+                (job, OpTicket::Insert(ticket))
+            }
+            Op::Remove { id } => {
+                let (job, ticket) = Job::remove(id);
+                (job, OpTicket::Remove(ticket))
+            }
+        }
+    }
+}
+
 /// Bounded MPMC job queue: mutex + two condvars, closes on shutdown.
+/// It also keeps the engine's execution-slot count, so queued and
+/// inline requests are admitted against one number under one lock.
 struct Queue {
     inner: Mutex<QueueInner>,
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
+    /// Execution slots: the worker count.
+    slots: usize,
 }
 
 struct QueueInner {
     jobs: VecDeque<Job>,
     closed: bool,
+    /// Requests executing now, on workers and inline; never above
+    /// [`Queue::slots`].
+    executing: usize,
+    /// Test-only high-water mark of `executing`.
+    #[cfg(test)]
+    peak_executing: usize,
+}
+
+impl QueueInner {
+    fn take_slot(&mut self) {
+        self.executing += 1;
+        #[cfg(test)]
+        {
+            self.peak_executing = self.peak_executing.max(self.executing);
+        }
+    }
 }
 
 impl Queue {
-    fn new(capacity: usize) -> Queue {
+    fn new(capacity: usize, slots: usize) -> Queue {
         Queue {
             inner: Mutex::new(QueueInner {
                 jobs: VecDeque::with_capacity(capacity),
                 closed: false,
+                executing: 0,
+                #[cfg(test)]
+                peak_executing: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
+            slots,
         }
     }
 
@@ -272,23 +423,57 @@ impl Queue {
             .len()
     }
 
-    /// Dequeue, blocking while empty. `None` once the queue is closed
-    /// *and* drained — workers finish every accepted request.
+    /// Dequeue, blocking while empty or while every execution slot is
+    /// taken (inline callers hold slots too), and take a slot for the
+    /// job handed out (give it back with [`Queue::finish`]). `None` once
+    /// the queue is closed *and* drained — workers finish every accepted
+    /// request.
     fn pop(&self) -> Option<Job> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(job);
+            if inner.executing < self.slots {
+                if let Some(job) = inner.jobs.pop_front() {
+                    inner.take_slot();
+                    drop(inner);
+                    self.not_full.notify_one();
+                    return Some(job);
+                }
             }
-            if inner.closed {
+            if inner.closed && inner.jobs.is_empty() {
                 return None;
             }
             inner = self
                 .not_empty
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Take an execution slot for a request the caller runs itself:
+    /// granted only when no job is queued ahead of it and a slot is
+    /// free. A closed queue refuses with [`DbLshError::Shutdown`], as
+    /// [`Queue::try_push`] does.
+    fn try_claim(&self) -> Result<bool, DbLshError> {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if inner.closed {
+            return Err(DbLshError::Shutdown);
+        }
+        let free = inner.jobs.is_empty() && inner.executing < self.slots;
+        if free {
+            inner.take_slot();
+        }
+        Ok(free)
+    }
+
+    /// Release the slot [`Queue::pop`] or [`Queue::try_claim`] took,
+    /// waking a worker if a job waits for it.
+    fn finish(&self) {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.executing = inner.executing.saturating_sub(1);
+        let waiting = !inner.jobs.is_empty();
+        drop(inner);
+        if waiting {
+            self.not_empty.notify_one();
         }
     }
 
@@ -329,6 +514,7 @@ struct Metrics {
     errors: Counter,
     rejected: Counter,
     deadline_expired: Counter,
+    inline: Counter,
     candidates: Counter,
     rounds: Counter,
     index_probes: Counter,
@@ -391,6 +577,11 @@ impl Metrics {
             deadline_expired: registry.counter(
                 "dblsh_deadline_expired_total",
                 "Searches that expired in the queue without executing.",
+                &[],
+            ),
+            inline: registry.counter(
+                "dblsh_inline_requests_total",
+                "Requests executed on the submitting thread (idle engine) instead of a worker.",
                 &[],
             ),
             candidates: registry.counter(
@@ -514,6 +705,12 @@ pub struct EngineStats {
     /// Counted separately from `errors`: an expired deadline is load
     /// shedding (like `rejected`), not a fault in the request.
     pub deadline_expired: u64,
+    /// Requests [`Engine::try_run`] executed on the calling thread
+    /// instead of queueing them for a worker (counted whatever their
+    /// outcome). The `Stats` wire opcode does not carry this field — its
+    /// layout is fixed; the metrics scrape does
+    /// (`dblsh_inline_requests_total`).
+    pub inline_requests: u64,
     /// Jobs sitting in the submission queue at snapshot time (accepted,
     /// not yet picked up by a worker) — the live backlog admission
     /// control is reacting to.
@@ -561,6 +758,7 @@ impl Default for EngineStats {
             errors: 0,
             rejected: 0,
             deadline_expired: 0,
+            inline_requests: 0,
             queue_depth: 0,
             query: QueryStats::default(),
             elapsed_secs: 0.0,
@@ -595,6 +793,7 @@ impl EngineStats {
         self.errors += other.errors;
         self.rejected += other.rejected;
         self.deadline_expired += other.deadline_expired;
+        self.inline_requests += other.inline_requests;
         // Queue depth is instantaneous, not cumulative: folding sweeps
         // keeps the worst backlog observed.
         self.queue_depth = self.queue_depth.max(other.queue_depth);
@@ -637,9 +836,10 @@ pub struct Engine {
 impl Engine {
     /// Start `config.workers` worker threads over `index`.
     pub fn start(index: Arc<ShardedDbLsh>, config: EngineConfig) -> Engine {
-        let queue = Arc::new(Queue::new(config.queue_capacity.max(1)));
+        let workers = config.workers.max(1);
+        let queue = Arc::new(Queue::new(config.queue_capacity.max(1), workers));
         let metrics = Arc::new(Metrics::new());
-        let workers = (0..config.workers.max(1))
+        let workers = (0..workers)
             .map(|w| {
                 let queue = Arc::clone(&queue);
                 let metrics = Arc::clone(&metrics);
@@ -696,45 +896,30 @@ impl Engine {
         opts: SearchOptions,
         deadline: Option<Duration>,
     ) -> Ticket<SearchResult> {
-        let (reply, ticket) = oneshot();
-        self.submit(Job::Search {
-            query: query.to_vec(),
-            k,
-            opts,
-            enqueued: Instant::now(),
-            deadline,
-            reply,
-        });
+        let (job, ticket) = Job::search(query.to_vec(), k, opts, deadline);
+        self.submit(job);
         ticket
     }
 
     /// Submit an insert.
     pub fn insert(&self, point: &[f32]) -> Ticket<u32> {
-        let (reply, ticket) = oneshot();
-        self.submit(Job::Insert {
-            point: point.to_vec(),
-            reply,
-        });
+        let (job, ticket) = Job::insert(point.to_vec());
+        self.submit(job);
         ticket
     }
 
     /// Submit a remove.
     pub fn remove(&self, id: u32) -> Ticket<bool> {
-        let (reply, ticket) = oneshot();
-        self.submit(Job::Remove { id, reply });
+        let (job, ticket) = Job::remove(id);
+        self.submit(job);
         ticket
     }
 
     /// Submit an (r,c)-NN probe (Definition 2 of the paper): the nearest
     /// point within distance `c·r` of the query, if any lies within `r`.
     pub fn r_c_nn(&self, query: &[f32], r: f64) -> Ticket<(Option<Neighbor>, QueryStats)> {
-        let (reply, ticket) = oneshot();
-        self.submit(Job::RcNn {
-            query: query.to_vec(),
-            r,
-            enqueued: Instant::now(),
-            reply,
-        });
+        let (job, ticket) = Job::r_c_nn(query.to_vec(), r);
+        self.submit(job);
         ticket
     }
 
@@ -765,32 +950,22 @@ impl Engine {
         opts: SearchOptions,
         deadline: Option<Duration>,
     ) -> Result<Ticket<SearchResult>, DbLshError> {
-        let (reply, ticket) = oneshot();
-        self.try_submit(Job::Search {
-            query: query.to_vec(),
-            k,
-            opts,
-            enqueued: Instant::now(),
-            deadline,
-            reply,
-        })?;
+        let (job, ticket) = Job::search(query.to_vec(), k, opts, deadline);
+        self.try_submit(job)?;
         Ok(ticket)
     }
 
     /// Non-blocking [`Engine::insert`] (see [`Engine::try_search_with`]).
     pub fn try_insert(&self, point: &[f32]) -> Result<Ticket<u32>, DbLshError> {
-        let (reply, ticket) = oneshot();
-        self.try_submit(Job::Insert {
-            point: point.to_vec(),
-            reply,
-        })?;
+        let (job, ticket) = Job::insert(point.to_vec());
+        self.try_submit(job)?;
         Ok(ticket)
     }
 
     /// Non-blocking [`Engine::remove`] (see [`Engine::try_search_with`]).
     pub fn try_remove(&self, id: u32) -> Result<Ticket<bool>, DbLshError> {
-        let (reply, ticket) = oneshot();
-        self.try_submit(Job::Remove { id, reply })?;
+        let (job, ticket) = Job::remove(id);
+        self.try_submit(job)?;
         Ok(ticket)
     }
 
@@ -800,13 +975,8 @@ impl Engine {
         query: &[f32],
         r: f64,
     ) -> Result<Ticket<(Option<Neighbor>, QueryStats)>, DbLshError> {
-        let (reply, ticket) = oneshot();
-        self.try_submit(Job::RcNn {
-            query: query.to_vec(),
-            r,
-            enqueued: Instant::now(),
-            reply,
-        })?;
+        let (job, ticket) = Job::r_c_nn(query.to_vec(), r);
+        self.try_submit(job)?;
         Ok(ticket)
     }
 
@@ -822,6 +992,34 @@ impl Engine {
         let (reply, ticket) = oneshot();
         self.submit(Job::Chaos(reply));
         ticket
+    }
+
+    /// Non-blocking submission that may run the request right here: the
+    /// wire front door's one entry point. With `inline_ok` set and the
+    /// engine idle — queue open and empty, fewer than `workers` requests
+    /// executing — the request runs on the calling thread through the
+    /// workers' own job handler (same metrics and panic containment, no
+    /// queue wait) and the returned ticket is already resolved; the flag
+    /// is then `true`. Otherwise it is queued exactly as the `try_*`
+    /// methods queue: a full queue refuses with [`DbLshError::Busy`], a
+    /// draining engine with [`DbLshError::Shutdown`] — which also
+    /// refuses inline work.
+    pub fn try_run(&self, op: Op, inline_ok: bool) -> Result<(OpTicket, bool), DbLshError> {
+        let (job, ticket) = op.into_job();
+        let inline = self.try_admit(job, inline_ok)?;
+        Ok((ticket, inline))
+    }
+
+    /// Run `job` inline if `inline_ok` and a slot is free, else queue it
+    /// (non-blocking). `Ok(true)` when it ran inline.
+    fn try_admit(&self, job: Job, inline_ok: bool) -> Result<bool, DbLshError> {
+        if inline_ok && self.queue.try_claim()? {
+            execute(&self.index, &self.metrics, job, false);
+            self.metrics.inline.inc();
+            self.queue.finish();
+            return Ok(true);
+        }
+        self.try_submit(job).map(|()| false)
     }
 
     fn submit(&self, job: Job) {
@@ -873,6 +1071,7 @@ impl Engine {
             errors: m.errors.get(),
             rejected: m.rejected.get(),
             deadline_expired: m.deadline_expired.get(),
+            inline_requests: m.inline.get(),
             queue_depth: self.queue.depth() as u64,
             query: QueryStats {
                 candidates: m.candidates.get() as usize,
@@ -978,21 +1177,29 @@ impl Drop for Engine {
 
 fn worker_loop(index: &ShardedDbLsh, queue: &Queue, metrics: &Metrics) {
     while let Some(job) = queue.pop() {
-        // Contain panics at the job boundary: one poisoned request must
-        // not shrink the worker pool for every later caller. The job
-        // (with its Reply) is consumed either way, so the submitter's
-        // ticket always resolves — normally, or with the typed
-        // `Shutdown` a dropped Reply produces.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_job(index, metrics, job)
-        }));
-        if outcome.is_err() {
-            metrics.errors.inc();
-        }
+        execute(index, metrics, job, true);
+        queue.finish();
     }
 }
 
-fn handle_job(index: &ShardedDbLsh, metrics: &Metrics, job: Job) {
+/// Run one job on this thread — a worker's (`queued`) or an inline
+/// caller's. Panics are contained at the job boundary: one poisoned
+/// request must not shrink the worker pool, or kill a connection
+/// thread, for every later caller. The job (with its Reply) is consumed
+/// either way, so the submitter's ticket always resolves — normally, or
+/// with the typed `Shutdown` a dropped Reply produces.
+fn execute(index: &ShardedDbLsh, metrics: &Metrics, job: Job, queued: bool) {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        handle_job(index, metrics, job, queued)
+    }));
+    if outcome.is_err() {
+        metrics.errors.inc();
+    }
+}
+
+/// Execute one job. `queued` is false for a job run inline, whose queue
+/// wait is zero by construction (so its deadline never expires).
+fn handle_job(index: &ShardedDbLsh, metrics: &Metrics, job: Job, queued: bool) {
     match job {
         Job::Search {
             query,
@@ -1002,8 +1209,13 @@ fn handle_job(index: &ShardedDbLsh, metrics: &Metrics, job: Job) {
             deadline,
             reply,
         } => {
+            let waited = if queued {
+                enqueued.elapsed()
+            } else {
+                Duration::ZERO
+            };
             if let Some(budget) = deadline {
-                if enqueued.elapsed() >= budget {
+                if waited >= budget {
                     // Expired while queued: never executed, so the
                     // caller can safely retry with a fresh budget.
                     metrics.deadline_expired.inc();
@@ -1017,7 +1229,7 @@ fn handle_job(index: &ShardedDbLsh, metrics: &Metrics, job: Job) {
             // latency by construction.
             let mut trace = opts.trace.then(QueryTrace::new);
             if let Some(trace) = &mut trace {
-                trace.add(Stage::Queue, enqueued.elapsed().as_nanos() as u64);
+                trace.add(Stage::Queue, waited.as_nanos() as u64);
             }
             let result = index.fan_out(&query, k, &opts, trace.as_mut());
             let latency = enqueued.elapsed().as_nanos() as u64;
@@ -1297,6 +1509,169 @@ mod tests {
         assert_eq!(served.neighbors, direct.neighbors);
         let stats = engine.shutdown();
         assert_eq!(stats.errors, 3, "each contained panic is counted");
+        assert_eq!(stats.searches, 1);
+    }
+
+    fn executing(engine: &Engine) -> (usize, usize) {
+        let inner = engine.queue.inner.lock().unwrap();
+        (inner.executing, inner.peak_executing)
+    }
+
+    fn search_ticket(ticket: OpTicket) -> Ticket<SearchResult> {
+        match ticket {
+            OpTicket::Search(ticket) => ticket,
+            other => panic!("a search op yields a search ticket, got {other:?}"),
+        }
+    }
+
+    fn search_op(x: f32) -> Op {
+        Op::Search {
+            query: vec![x; 12],
+            k: 4,
+            opts: SearchOptions::default(),
+        }
+    }
+
+    #[test]
+    fn idle_engine_runs_inline_with_identical_answers() {
+        let engine = engine(2, 8);
+        let direct = engine
+            .index()
+            .search_with(&[0.3; 12], 4, &SearchOptions::default())
+            .unwrap();
+        let (ticket, inline) = engine.try_run(search_op(0.3), true).unwrap();
+        assert!(inline, "an idle engine runs the request on the caller");
+        let ticket = search_ticket(ticket);
+        let served = ticket.try_take().expect("inline tickets are resolved");
+        assert_eq!(served.unwrap().neighbors, direct.neighbors);
+        // Not asked to run inline: queued like `try_*`, same answer.
+        let (ticket, inline) = engine.try_run(search_op(0.3), false).unwrap();
+        assert!(!inline);
+        let ticket = search_ticket(ticket);
+        assert_eq!(ticket.wait().unwrap().neighbors, direct.neighbors);
+        let stats = engine.shutdown();
+        assert_eq!((stats.searches, stats.inline_requests), (2, 1));
+    }
+
+    #[test]
+    fn parked_workers_make_submissions_queue_not_run_inline() {
+        let engine = engine(1, 8);
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        engine.submit(Job::Fence(Arc::clone(&gate)));
+        // Wait for the only worker to take the fence (and its slot).
+        while executing(&engine).0 < 1 {
+            std::thread::yield_now();
+        }
+        let (ticket, inline) = engine.try_run(search_op(0.1), true).unwrap();
+        assert!(!inline, "no free slot: the request must queue");
+        assert_eq!(engine.stats().queue_depth, 1);
+        assert_eq!(engine.stats().inline_requests, 0);
+        gate.wait();
+        let ticket = search_ticket(ticket);
+        assert!(ticket.wait().is_ok(), "the queued request still runs");
+        let stats = engine.shutdown();
+        assert_eq!((stats.searches, stats.inline_requests), (1, 0));
+    }
+
+    #[test]
+    fn executing_requests_never_exceed_workers() {
+        const WORKERS: usize = 2;
+        let engine = engine(WORKERS, 4);
+        // An inline caller parked on a fence holds one slot; a worker
+        // parked on another holds the second. A third request, inline
+        // allowed, must queue.
+        let inline_gate = Arc::new(std::sync::Barrier::new(2));
+        let worker_gate = Arc::new(std::sync::Barrier::new(2));
+        std::thread::scope(|scope| {
+            let parked =
+                scope.spawn(|| engine.try_admit(Job::Fence(Arc::clone(&inline_gate)), true));
+            while executing(&engine).0 < 1 {
+                std::thread::yield_now();
+            }
+            engine.submit(Job::Fence(Arc::clone(&worker_gate)));
+            while executing(&engine).0 < WORKERS {
+                std::thread::yield_now();
+            }
+            let (ticket, inline) = engine.try_run(search_op(0.2), true).unwrap();
+            assert!(!inline, "both slots taken: the request must queue");
+            inline_gate.wait();
+            worker_gate.wait();
+            assert_eq!(parked.join().unwrap(), Ok(true));
+            let ticket = search_ticket(ticket);
+            assert!(ticket.wait().is_ok());
+        });
+        // Four callers race inline submissions beside the pool.
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let engine = &engine;
+                scope.spawn(move || {
+                    for i in 0..40 {
+                        let op = search_op((t * 40 + i) as f32 * 0.05);
+                        match engine.try_run(op, true) {
+                            Ok((ticket, _)) => assert!(search_ticket(ticket).wait().is_ok()),
+                            Err(e) => assert_eq!(e, DbLshError::Busy),
+                        }
+                    }
+                });
+            }
+        });
+        // A worker releases its slot just after resolving the ticket.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while executing(&engine).0 > 0 {
+            assert!(Instant::now() < deadline, "a slot was never released");
+            std::thread::yield_now();
+        }
+        let peak = executing(&engine).1;
+        assert!(
+            peak <= WORKERS,
+            "peak {peak} executing over {WORKERS} workers"
+        );
+        assert!(engine.stats().inline_requests > 0);
+    }
+
+    #[test]
+    fn drained_engine_refuses_inline_with_typed_shutdown() {
+        let engine = engine(1, 8);
+        engine.drain();
+        assert!(matches!(
+            engine.try_run(search_op(0.2), true),
+            Err(DbLshError::Shutdown)
+        ));
+        assert!(matches!(
+            engine.try_run(
+                Op::Insert {
+                    point: vec![0.2; 12]
+                },
+                true
+            ),
+            Err(DbLshError::Shutdown)
+        ));
+        let stats = engine.shutdown();
+        assert_eq!(stats.inline_requests, 0);
+        assert_eq!(stats.rejected, 0, "a drain refusal is not a rejection");
+    }
+
+    #[test]
+    fn a_panicking_inline_request_is_contained_on_the_calling_thread() {
+        let engine = engine(1, 8);
+        for _ in 0..3 {
+            let (reply, chaos) = oneshot::<()>();
+            assert_eq!(engine.try_admit(Job::Chaos(reply), true), Ok(true));
+            assert_eq!(chaos.wait(), Err(DbLshError::Shutdown));
+        }
+        assert_eq!(executing(&engine).0, 0, "a panic still releases the slot");
+        // The same thread keeps serving, inline.
+        let direct = engine
+            .index()
+            .search_with(&[0.4; 12], 4, &SearchOptions::default())
+            .unwrap();
+        let (ticket, inline) = engine.try_run(search_op(0.4), true).unwrap();
+        assert!(inline);
+        let ticket = search_ticket(ticket);
+        assert_eq!(ticket.wait().unwrap().neighbors, direct.neighbors);
+        let stats = engine.shutdown();
+        assert_eq!(stats.errors, 3, "each contained panic is counted");
+        assert_eq!(stats.inline_requests, 4);
         assert_eq!(stats.searches, 1);
     }
 

@@ -57,5 +57,5 @@ mod engine;
 mod shard;
 mod walrec;
 
-pub use engine::{Engine, EngineConfig, EngineStats, Ticket};
+pub use engine::{Engine, EngineConfig, EngineStats, Op, OpTicket, Ticket};
 pub use shard::{CompactionPolicy, ShardPolicy, ShardedDbLsh, FLEET_SNAPSHOT_KIND, FLEET_WAL_KIND};

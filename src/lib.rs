@@ -46,11 +46,12 @@
 //! ## Dynamic updates
 //!
 //! Query-based dynamic bucketing stores *projections*, not buckets, so
-//! the index updates in place: [`DbLsh::insert`] projects a new point
-//! into all `L` R*-trees, [`DbLsh::remove`] deletes one and tombstones
-//! its row. No rebuild, no bucket re-quantization — the property that
-//! distinguishes DB-LSH from every static `(K, L)`-index baseline in
-//! [`baselines`].
+//! the index updates in place: [`DbLsh::insert`] appends the new
+//! point's row and projections to a scanned tail (folded into the
+//! bulk-loaded R*-trees only once the tail fills), and [`DbLsh::remove`]
+//! sets the point's tombstone bit — neither touches a tree. No rebuild,
+//! no bucket re-quantization — the property that distinguishes DB-LSH
+//! from every static `(K, L)`-index baseline in [`baselines`].
 //!
 //! ```
 //! # use db_lsh::DbLshBuilder;
